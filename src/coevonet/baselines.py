@@ -20,7 +20,7 @@ import numpy as np
 from . import moea
 from .genome import SearchSpaceConfig, string_to_bits
 from .market_data import DatasetSplits, PatternSet
-from .moea import Nsga2Config, bitflip_mutation, nongeometric_crossover, uniform_crossover
+from .moea import Nsga2Config
 from .objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
                          TopologyOnlyProblem, scalarized_value)
 
@@ -232,6 +232,28 @@ def cfs_select(train_x: np.ndarray, labels: np.ndarray, bins: int = 10,
     return ReductionResult("CFS", tuple(best_subset), score_trace=tuple(trace))
 
 
+#: Reduction methods of ``fit_reduction``, and PCA's default variance target.
+REDUCTIONS = ("mrmr", "cfs", "pca")
+PCA_VARIANCE_TARGET = 0.9999
+
+
+def fit_reduction(method: str, train: PatternSet, k: int,
+                  variance_target: float = PCA_VARIANCE_TARGET) -> ReductionResult:
+    """Fit a named a-priori reduction on the training split.
+
+    ``k`` is the mRmR subset size; ``variance_target`` is PCA's retained
+    variance share. CFS sizes its own subset.
+    """
+    if method == "mrmr":
+        return mrmr_select(train.features, train.labels, k)
+    if method == "cfs":
+        return cfs_select(train.features, train.labels)
+    if method == "pca":
+        return ReductionResult("PCA", pca=pca_reduce(train.features,
+                                                      variance_target=variance_target))
+    raise BaselineError(f"unknown reduction {method!r}; choose from {REDUCTIONS}")
+
+
 # ---------------------------------------------------------------------------
 # rules of thumb
 # ---------------------------------------------------------------------------
@@ -332,68 +354,38 @@ def scalarized_search(splits: DatasetSplits, space: SearchSpaceConfig,
                       eval_cfg: EvalConfig) -> tuple[ScalarizedResult, CoevolutionProblem]:
     """Single-objective elitist GA over the co-evolution genome.
 
-    Uses the same recombination pipeline as the multi-objective engine
-    (uniform crossover with a non-geometric variant at the configured
-    probability) and binary tournament selection on the scalarized value.
+    Uses the same offspring pipeline and budget check as the multi-objective
+    engine, with binary tournament selection on the scalarized value.
     """
     problem = CoevolutionProblem(splits, space, eval_cfg)
     rng = np.random.default_rng(ga_cfg.seed)
-    n = problem.n_bits
-    flip_prob = ga_cfg.flip_prob if ga_cfg.flip_prob is not None else 1.0 / n
-    mutation_rate = ga_cfg.mutation_rate if ga_cfg.mutation_rate is not None else 1.0 / n
     cap = ga_cfg.max_evaluations
 
-    def value_of(bits_str: str) -> float:
-        return scalarized_value(problem.cache[bits_str], scalar_cfg)
+    evaluated, exhausted = moea._evaluate_batch(
+        problem, [moea._random_genome(problem, rng) for _ in range(ga_cfg.population)], cap)
+    pop = [bits_str for bits_str, _ in evaluated]
+    values = {b: scalarized_value(record, scalar_cfg) for b, record in evaluated}
 
-    pop = []
-    for _ in range(ga_cfg.population):
-        bits = problem.repair(rng.integers(0, 2, size=n, dtype=np.uint8), rng)
-        bits_str = moea.bits_to_string(bits)
-        if bits_str not in problem.cache and problem.fe_count >= cap:
-            break
-        problem.evaluate(bits_str)
-        pop.append(bits_str)
-    values = {b: value_of(b) for b in pop}
+    def pick_parent():
+        a, b = rng.choice(len(pop), size=2)
+        pa, pb = pop[a], pop[b]
+        return string_to_bits(pa if (values[pa], pa) <= (values[pb], pb) else pb)
+
     best_bits = min(pop, key=lambda b: (values[b], b))
     trace = [ScalarizedTracePoint(0, problem.fe_count, values[best_bits])]
     gen = 0
-    exhausted = problem.fe_count >= cap
-    while not exhausted:
+    while not exhausted and problem.fe_count < cap:
         gen += 1
-        offspring = []
-        while len(offspring) < ga_cfg.population:
-            def pick():
-                a, b = rng.choice(len(pop), size=2)
-                pa, pb = pop[a], pop[b]
-                return pa if (values[pa], pa) <= (values[pb], pb) else pb
-
-            pa, pb = string_to_bits(pick()), string_to_bits(pick())
-            if rng.random() < ga_cfg.crossover_rate:
-                if rng.random() < ga_cfg.nongeometric_prob:
-                    kids = [nongeometric_crossover(pa, pb, rng, flip_prob),
-                            nongeometric_crossover(pa, pb, rng, flip_prob)]
-                else:
-                    kids = list(uniform_crossover(pa, pb, rng))
-            else:
-                kids = [pa.copy(), pb.copy()]
-            for kid in kids:
-                kid = problem.repair(bitflip_mutation(kid, mutation_rate, rng), rng)
-                offspring.append(moea.bits_to_string(kid))
-        for bits_str in offspring[:ga_cfg.population]:
-            if bits_str not in problem.cache and problem.fe_count >= cap:
-                exhausted = True
-                break
-            problem.evaluate(bits_str)
+        offspring = moea._make_offspring(pick_parent, problem, ga_cfg, rng)
+        evaluated, exhausted = moea._evaluate_batch(problem, offspring, cap)
+        for bits_str, record in evaluated:
             if bits_str not in values:
-                values[bits_str] = value_of(bits_str)
+                values[bits_str] = scalarized_value(record, scalar_cfg)
                 pop.append(bits_str)
         # elitist truncation back to the population size
         pop = sorted(set(pop), key=lambda b: (values[b], b))[:ga_cfg.population]
         best_bits = pop[0]
         trace.append(ScalarizedTracePoint(gen, problem.fe_count, values[best_bits]))
-        if problem.fe_count >= cap:
-            exhausted = True
     logger.info("scalarized GA: %d generations, %d evaluations, best %.4f",
                 gen, problem.fe_count, values[best_bits])
     return ScalarizedResult(best_bits, values[best_bits], trace), problem

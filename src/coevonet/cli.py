@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, indicators, market_data, runner, synth
+from . import baselines, indicators, market_data, neural, runner, synth
 from .baselines import BaselineError
 from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
-from .genome import GenomeError, SearchSpaceConfig
+from .genome import GenomeError, SearchSpaceConfig, complexity_of
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
 from .neural import ScgConfig
@@ -176,21 +176,10 @@ def cmd_holdout_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     splits, _ = _require_splits(args.data)
-    train = splits.d_train
-    if args.method == "pca":
-        reduction = baselines.ReductionResult(
-            "PCA", pca=baselines.pca_reduce(train.features, variance_target=args.variance))
-    elif args.method == "mrmr":
-        reduction = baselines.mrmr_select(train.features, train.labels, args.k)
-    elif args.method == "cfs":
-        reduction = baselines.cfs_select(train.features, train.labels)
-    else:
-        raise BaselineError(f"unknown method {args.method!r}")
+    reduction = baselines.fit_reduction(args.method, splits.d_train, args.k, args.variance)
     reduced = baselines.reduce_splits(splits, reduction)
     d = reduced.d_train.n_features
     topologies = runner.rule_of_thumb_topologies(d, 2, reduced.d_train.n)
-    from . import neural  # local alias for metric helpers
-    from .genome import complexity_of
     rows = []
     for rule, topology in topologies.items():
         model = runner.train_final_model(topology, None, reduced,
@@ -320,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=2)
     p.add_argument("--scg-iters", type=int, default=200)
     p.add_argument("--population", type=int, default=50)
-    p.add_argument("--reduction", default="mrmr", choices=["mrmr", "cfs", "pca"],
+    p.add_argument("--reduction", default="mrmr", choices=list(baselines.REDUCTIONS),
                    help="a-priori reduction for --algo topology-only")
     p.add_argument("--reduction-k", type=int, default=17)
     p.add_argument("--scenario", default="balanced",
@@ -340,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="a-priori reduction plus rule-of-thumb networks")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", default="mrmr", choices=["pca", "mrmr", "cfs"])
+    p.add_argument("--method", default="mrmr", choices=list(baselines.REDUCTIONS))
     p.add_argument("--k", type=int, default=17, help="subset size for mRmR")
-    p.add_argument("--variance", type=float, default=0.9999, help="PCA variance target")
+    p.add_argument("--variance", type=float, default=baselines.PCA_VARIANCE_TARGET,
+                   help="PCA variance target")
     p.add_argument("--scg-iters", type=int, default=600)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)

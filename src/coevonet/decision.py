@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveVector
-
 N_OBJ = 3
 
 #: Named ranking presets (within-regime error, complexity, earlier-regime error).
@@ -88,17 +86,9 @@ class TournamentResult:
         }
 
 
-def _archive_rows(archive):
-    if hasattr(archive, "members"):
-        return archive.members()
-    rows = []
-    for entry in archive:
-        if isinstance(entry, ObjectiveVector):
-            rows.append(("", entry))
-        else:
-            bits, obj = entry
-            rows.append((bits, obj))
-    return rows
+def _archive_rows(archive) -> list:
+    """(bits, objectives) pairs of a ``ParetoArchive`` or of a sequence of pairs."""
+    return archive.members() if hasattr(archive, "members") else list(archive)
 
 
 def mtd_select(archive, weights: np.ndarray) -> TournamentResult:

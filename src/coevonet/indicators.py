@@ -184,7 +184,8 @@ def _col_rsi(s, period):
         avg_up = np.where(up_count > 0, up_close / up_count, 0.0)
         avg_down = np.where(down_count > 0, down_close / down_count, 0.0)
         denom = avg_up + avg_down
-        out = np.where(denom > 0, 100.0 * avg_up / denom, 50.0)
+        # ratio first: avg_up / denom <= 1 exactly, so the result never exceeds 100
+        out = np.where(denom > 0, 100.0 * (avg_up / denom), 50.0)
     out[np.isnan(up_count)] = np.nan
     if len(out) >= period:
         out[period - 1] = np.nan  # first window needs a prior close for every day

@@ -212,9 +212,6 @@ class PatternSet:
         """Unsealed view sharing the same arrays."""
         return PatternSet(self._features, self._labels, self._dates, sealed=False)
 
-    def resealed(self) -> "PatternSet":
-        return PatternSet(self._features, self._labels, self._dates, sealed=True)
-
     def with_features(self, features, sealed=None) -> "PatternSet":
         return PatternSet(
             features, self._labels, self._dates,
@@ -405,10 +402,6 @@ class Standardizer:
 
 def fit_standardizer(train: PatternSet) -> Standardizer:
     return Standardizer().fit(train)
-
-
-def apply_standardizer(standardizer: Standardizer, patterns: PatternSet) -> PatternSet:
-    return standardizer.apply(patterns)
 
 
 def standardize_splits(splits: DatasetSplits) -> tuple[DatasetSplits, Standardizer]:

@@ -12,6 +12,11 @@ Two engines share the evaluation problems defined in ``objectives``:
 Both stop on a function-evaluation budget (cache hits are free) and are
 bit-reproducible for a fixed seed. ``random_search_run`` evaluates the same
 budget of uniform genomes and is the reference front for efficacy checks.
+
+The engines, and the scalarized GA in ``baselines``, share one skeleton:
+``_random_genome`` draws initial genomes, ``_make_offspring`` builds children
+from a caller's parent picker, and ``_evaluate_batch`` is the only budget
+check. Objectives enter sorting and crowding as plain (n, 3) float rows.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -35,10 +40,13 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 def dominates(a, b) -> bool:
-    """Strict Pareto dominance, minimization."""
-    a = a.as_tuple() if isinstance(a, ObjectiveVector) else tuple(a)
-    b = b.as_tuple() if isinstance(b, ObjectiveVector) else tuple(b)
+    """Strict Pareto dominance of two objective sequences, minimization."""
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def _objective_rows(objectives) -> np.ndarray:
+    """(n, 3) float array of ``ObjectiveVector`` values, in order."""
+    return np.array([o.as_tuple() for o in objectives], dtype=float).reshape(-1, 3)
 
 
 class ParetoArchive:
@@ -55,26 +63,24 @@ class ParetoArchive:
                       key=lambda kv: (kv[1].as_tuple(), kv[0]))
 
     def objective_matrix(self) -> np.ndarray:
-        return np.array([obj.as_tuple() for _, obj in self.members()]).reshape(-1, 3)
+        return _objective_rows([obj for _, obj in self.members()])
 
     def add(self, bits, objectives: ObjectiveVector) -> bool:
         bits_str = bits if isinstance(bits, str) else bits_to_string(bits)
         if bits_str in self._members:
             return False
+        new = objectives.as_tuple()
         for obj in self._members.values():
-            if dominates(obj, objectives):
+            if dominates(obj.as_tuple(), new):
                 return False
-        dominated = [k for k, v in self._members.items() if dominates(objectives, v)]
+        dominated = [k for k, v in self._members.items() if dominates(new, v.as_tuple())]
         for k in dominated:
             del self._members[k]
         self._members[bits_str] = objectives
         return True
 
     def is_dominance_fixed_point(self) -> bool:
-        items = list(self._members.values())
-        return not any(
-            dominates(a, b) for i, a in enumerate(items) for j, b in enumerate(items) if i != j
-        )
+        return not _dominance_matrix(self.objective_matrix()).any()
 
 
 def merge_archives(archives) -> ParetoArchive:
@@ -89,46 +95,44 @@ def merge_archives(archives) -> ParetoArchive:
 # non-dominated sorting and crowding (Deb et al.)
 # ---------------------------------------------------------------------------
 
-def fast_nondominated_sort(objectives: list) -> list[list[int]]:
-    """Partition indices into fronts; front 0 is the non-dominated set."""
-    objs = [o.as_tuple() if isinstance(o, ObjectiveVector) else tuple(o) for o in objectives]
-    n = len(objs)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objs[i], objs[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objs[j], objs[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    k = 0
-    while fronts[k]:
-        nxt = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        k += 1
-        fronts.append(nxt)
-    fronts.pop()
+def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
+    """Boolean (n, n) matrix whose [i, j] entry says that row i dominates row j."""
+    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
+    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
+    return le & lt
+
+
+def fast_nondominated_sort(objectives) -> list[list[int]]:
+    """Partition indices into fronts; front 0 is the non-dominated set.
+
+    ``objectives`` is a sequence of objective sequences or an (n, m) array.
+    Fronts come out in Deb's peeling order: front 0 by index, and a later
+    member when its last dominator in the previous front is passed (ties by
+    index). Crowding ties, and so the engines' runs, depend on this order.
+    """
+    if len(objectives) == 0:
+        return []
+    dom = _dominance_matrix(np.asarray(objectives, dtype=float))
+    count = dom.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    fronts = []
+    while front.size:
+        fronts.append(front.tolist())
+        beaten = dom[front]
+        count = count - beaten.sum(axis=0)
+        nxt = np.flatnonzero(beaten.any(axis=0) & (count == 0))
+        last = len(front) - 1 - np.argmax(beaten[::-1][:, nxt], axis=0)
+        front = nxt[np.lexsort((nxt, last))]
     return fronts
 
 
-def crowding_distance(objectives: list) -> np.ndarray:
-    """Crowding distances for one front; extremes are infinite."""
+def crowding_distance(objectives) -> np.ndarray:
+    """Crowding distances for one front (sequences or an (n, m) array); extremes are infinite."""
     n = len(objectives)
-    objs = np.array([o.as_tuple() if isinstance(o, ObjectiveVector) else tuple(o)
-                     for o in objectives], dtype=float)
-    dist = np.zeros(n)
     if n <= 2:
         return np.full(n, np.inf)
+    objs = np.asarray(objectives, dtype=float)
+    dist = np.zeros(n)
     for m in range(objs.shape[1]):
         order = np.argsort(objs[:, m], kind="stable")
         lo, hi = objs[order[0], m], objs[order[-1], m]
@@ -239,8 +243,7 @@ class GenerationStats:
 
     def csv_row(self) -> list:
         return [self.generation, self.evaluations, self.front_size,
-                *[repr(v) for v in self.best], *[repr(v) for v in self.mean],
-                repr(self.hypervolume)]
+                *[repr(float(v)) for v in (*self.best, *self.mean, self.hypervolume)]]
 
 
 def write_generation_csv(path, stats: list[GenerationStats], preamble: str | None = None):
@@ -253,23 +256,26 @@ def write_generation_csv(path, stats: list[GenerationStats], preamble: str | Non
             w.writerow(s.csv_row())
 
 
-def _snapshot(gen: int, problem, pop_bits, pop_objs) -> GenerationStats:
-    fronts = fast_nondominated_sort(pop_objs)
-    front = [pop_objs[i].as_tuple() for i in fronts[0]]
-    arr = np.array([o.as_tuple() for o in pop_objs])
-    hv = hypervolume(np.array(front), np.array([1.0, 1.0, 1.0])) if front else 0.0
+def _snapshot(gen: int, problem, objs: np.ndarray, fronts) -> GenerationStats:
+    """Statistics of a population given its objective rows and their fronts."""
+    front = objs[fronts[0]]
+    hv = hypervolume(front, np.array([1.0, 1.0, 1.0]))
     return GenerationStats(
         generation=gen,
         evaluations=problem.fe_count,
         front_size=len(front),
-        best=tuple(float(v) for v in arr.min(axis=0)),
-        mean=tuple(float(v) for v in arr.mean(axis=0)),
+        best=tuple(float(v) for v in objs.min(axis=0)),
+        mean=tuple(float(v) for v in objs.mean(axis=0)),
         hypervolume=hv,
     )
 
 
 def _evaluate_batch(problem, batch, cap):
-    """Evaluate genomes until the FE cap would be exceeded; cache hits are free."""
+    """Evaluate genomes until the FE cap would be exceeded; cache hits are free.
+
+    This is the only budget check of the engines: it returns the evaluated
+    (bits string, record) pairs and whether the cap stopped the batch.
+    """
     out = []
     exhausted = False
     for bits in batch:
@@ -281,88 +287,98 @@ def _evaluate_batch(problem, batch, cap):
     return out, exhausted
 
 
-def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[GenerationStats]]:
-    rng = np.random.default_rng(cfg.seed)
+def _random_genome(problem, rng: np.random.Generator) -> np.ndarray:
+    return problem.repair(rng.integers(0, 2, size=problem.n_bits, dtype=np.uint8), rng)
+
+
+def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """``cfg.population`` repaired children of tournament-picked parent pairs.
+
+    With probability ``crossover_rate`` a pair recombines, by two
+    non-geometric children (probability ``nongeometric_prob``) or one uniform
+    crossover pair; otherwise it is copied. Every child is then mutated.
+    """
     n = problem.n_bits
     flip_prob = cfg.flip_prob if cfg.flip_prob is not None else 1.0 / n
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    offspring = []
+    while len(offspring) < cfg.population:
+        pa, pb = pick_parent(), pick_parent()
+        if rng.random() < cfg.crossover_rate:
+            if rng.random() < cfg.nongeometric_prob:
+                kids = [nongeometric_crossover(pa, pb, rng, flip_prob),
+                        nongeometric_crossover(pa, pb, rng, flip_prob)]
+            else:
+                kids = list(uniform_crossover(pa, pb, rng))
+        else:
+            kids = [pa.copy(), pb.copy()]
+        for kid in kids:
+            offspring.append(problem.repair(bitflip_mutation(kid, mutation_rate, rng), rng))
+    return offspring[:cfg.population]
+
+
+def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[GenerationStats]]:
+    rng = np.random.default_rng(cfg.seed)
     cap = cfg.max_evaluations
-
-    def fresh_genome():
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        return problem.repair(bits, rng)
-
     evaluated, exhausted = _evaluate_batch(
-        problem, [fresh_genome() for _ in range(cfg.population)], cap)
+        problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
     pop_bits = [string_to_bits(b) for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
-    stats = [_snapshot(0, problem, pop_bits, pop_objs)]
+    # each population is sorted once: for its statistics, the next
+    # generation's tournament and, at the end, the archive
+    rows = _objective_rows(pop_objs)
+    fronts = fast_nondominated_sort(rows)
+    stats = [_snapshot(0, problem, rows, fronts)]
     gen = 0
     while not exhausted and problem.fe_count < cap:
         gen += 1
-        ranks, crowds = _rank_and_crowd(pop_objs)
+        ranks, crowds = _rank_and_crowd(rows, fronts)
 
         def pick_parent():
             i, j = rng.integers(len(pop_bits)), rng.integers(len(pop_bits))
             winner = crowding_tournament(ranks[i], crowds[i], ranks[j], crowds[j], rng)
             return pop_bits[i if winner == 0 else j]
 
-        offspring = []
-        while len(offspring) < cfg.population:
-            pa, pb = pick_parent(), pick_parent()
-            if rng.random() < cfg.crossover_rate:
-                if rng.random() < cfg.nongeometric_prob:
-                    kids = [nongeometric_crossover(pa, pb, rng, flip_prob),
-                            nongeometric_crossover(pa, pb, rng, flip_prob)]
-                else:
-                    kids = list(uniform_crossover(pa, pb, rng))
-            else:
-                kids = [pa.copy(), pb.copy()]
-            for kid in kids:
-                kid = bitflip_mutation(kid, mutation_rate, rng)
-                offspring.append(problem.repair(kid, rng))
-        offspring = offspring[:cfg.population]
+        offspring = _make_offspring(pick_parent, problem, cfg, rng)
         evaluated, exhausted = _evaluate_batch(problem, offspring, cap)
-        child_bits = [string_to_bits(b) for b, _ in evaluated]
-        child_objs = [rec.objectives for _, rec in evaluated]
-        pool_bits = pop_bits + child_bits
-        pool_objs = pop_objs + child_objs
+        pool_bits = pop_bits + [string_to_bits(b) for b, _ in evaluated]
+        pool_objs = pop_objs + [rec.objectives for _, rec in evaluated]
         pop_bits, pop_objs = _environmental_selection(pool_bits, pool_objs, cfg.population)
-        stats.append(_snapshot(gen, problem, pop_bits, pop_objs))
+        rows = _objective_rows(pop_objs)
+        fronts = fast_nondominated_sort(rows)
+        stats.append(_snapshot(gen, problem, rows, fronts))
     archive = ParetoArchive()
-    for idx in fast_nondominated_sort(pop_objs)[0]:
+    for idx in fronts[0]:
         archive.add(pop_bits[idx], pop_objs[idx])
     logger.info("nsga2: %d generations, %d evaluations (%d cache hits), front %d",
                 gen, problem.fe_count, problem.cache_hits, len(archive))
     return archive, stats
 
 
-def _rank_and_crowd(pop_objs):
-    ranks = np.empty(len(pop_objs), dtype=int)
-    crowds = np.empty(len(pop_objs), dtype=float)
-    for r, front in enumerate(fast_nondominated_sort(pop_objs)):
+def _rank_and_crowd(rows: np.ndarray, fronts) -> tuple[np.ndarray, np.ndarray]:
+    ranks = np.empty(len(rows), dtype=int)
+    crowds = np.empty(len(rows), dtype=float)
+    for r, front in enumerate(fronts):
         ranks[front] = r
-        crowds[front] = crowding_distance([pop_objs[i] for i in front])
+        crowds[front] = crowding_distance(rows[front])
     return ranks, crowds
 
 
 def _environmental_selection(pool_bits, pool_objs, target):
-    fronts = fast_nondominated_sort(pool_objs)
-    next_bits, next_objs = [], []
-    for front in fronts:
-        if len(next_bits) + len(front) <= target:
-            next_bits.extend(pool_bits[i] for i in front)
-            next_objs.extend(pool_objs[i] for i in front)
+    rows = _objective_rows(pool_objs)
+    keep = []
+    for front in fast_nondominated_sort(rows):
+        if len(keep) + len(front) <= target:
+            keep.extend(front)
         else:
-            crowds = crowding_distance([pool_objs[i] for i in front])
+            crowds = crowding_distance(rows[front])
             order = sorted(range(len(front)), key=lambda i: -crowds[i])
-            for i in order[:target - len(next_bits)]:
-                next_objs.append(pool_objs[front[i]])
-                next_bits.append(pool_bits[front[i]])
+            keep.extend(front[i] for i in order[:target - len(keep)])
             break
-        if len(next_bits) == target:
+        if len(keep) == target:
             break
-    return next_bits, next_objs
+    return [pool_bits[i] for i in keep], [pool_objs[i] for i in keep]
 
 
 def simplex_lattice_weights(n_obj: int, count: int) -> np.ndarray:
@@ -389,9 +405,9 @@ def simplex_lattice_weights(n_obj: int, count: int) -> np.ndarray:
     return lattice[idx]
 
 
-def _tchebycheff(obj: ObjectiveVector, weights: np.ndarray, ideal: np.ndarray) -> float:
+def _tchebycheff(f: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> float:
     w = np.maximum(weights, 1e-6)
-    return float(np.max(w * np.abs(np.asarray(obj.as_tuple()) - ideal)))
+    return float(np.max(w * np.abs(f - ideal)))
 
 
 def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationStats]]:
@@ -403,11 +419,8 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :cfg.neighborhood_size]
 
-    genomes = []
-    for _ in range(cfg.population):
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        genomes.append(problem.repair(bits, rng))
-    evaluated, exhausted = _evaluate_batch(problem, genomes, cap)
+    evaluated, exhausted = _evaluate_batch(
+        problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
     pop_bits = [string_to_bits(b) for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
     while len(pop_bits) < cfg.population:  # budget smaller than the population
@@ -416,8 +429,9 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
     archive = ParetoArchive()
     for b, o in zip(pop_bits, pop_objs):
         archive.add(b, o)
-    ideal = np.array([o.as_tuple() for o in pop_objs]).min(axis=0)
-    stats = [_snapshot(0, problem, pop_bits, pop_objs)]
+    rows = _objective_rows(pop_objs)
+    ideal = rows.min(axis=0)
+    stats = [_snapshot(0, problem, rows, fast_nondominated_sort(rows))]
     gen = 0
     while not exhausted and problem.fe_count < cap:
         gen += 1
@@ -436,23 +450,22 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
             else:
                 child = pa.copy()
             child = problem.repair(bitflip_mutation(child, mutation_rate, rng), rng)
-            child_str = bits_to_string(child)
-            if child_str not in problem.cache and problem.fe_count >= cap:
-                exhausted = True
+            evaluated, exhausted = _evaluate_batch(problem, [child], cap)
+            if exhausted:
                 break
-            rec = problem.evaluate(child_str)
-            obj = rec.objectives
-            ideal = np.minimum(ideal, np.asarray(obj.as_tuple()))
+            child_str, rec = evaluated[0]
+            f = np.asarray(rec.objectives.as_tuple())
+            ideal = np.minimum(ideal, f)
             replaced = 0
             for j in rng.permutation(hood):
-                if _tchebycheff(obj, weights[j], ideal) <= _tchebycheff(pop_objs[j], weights[j], ideal):
+                if _tchebycheff(f, weights[j], ideal) <= _tchebycheff(rows[j], weights[j], ideal):
                     pop_bits[j] = child.copy()
-                    pop_objs[j] = obj
+                    rows[j] = f
                     replaced += 1
                     if replaced >= 2:
                         break
-            archive.add(child_str, obj)
-        stats.append(_snapshot(gen, problem, pop_bits, pop_objs))
+            archive.add(child_str, rec.objectives)
+        stats.append(_snapshot(gen, problem, rows, fast_nondominated_sort(rows)))
     logger.info("eagd: %d generations, %d evaluations (%d cache hits), archive %d",
                 gen, problem.fe_count, problem.cache_hits, len(archive))
     return archive, stats
@@ -463,9 +476,8 @@ def random_search_run(problem, budget: int, seed: int) -> ParetoArchive:
     rng = np.random.default_rng(seed)
     archive = ParetoArchive()
     while problem.fe_count < budget:
-        bits = problem.repair(rng.integers(0, 2, size=problem.n_bits, dtype=np.uint8), rng)
-        rec = problem.evaluate(bits)
-        archive.add(bits, rec.objectives)
+        bits = _random_genome(problem, rng)
+        archive.add(bits, problem.evaluate(bits).objectives)
     return archive
 
 
@@ -496,7 +508,7 @@ def hypervolume(points, reference) -> float:
         return 0.0
     if np.any(pts > ref):
         raise ValueError("reference point lies inside the front (a member exceeds it)")
-    front_idx = fast_nondominated_sort([tuple(p) for p in pts])[0]
+    front_idx = fast_nondominated_sort(pts)[0]
     pts = pts[front_idx]
     order = np.argsort(pts[:, 2], kind="stable")
     pts = pts[order]

@@ -26,7 +26,7 @@ from . import genome as genome_mod
 from . import neural
 from .genome import SearchSpaceConfig, decode_topology, repair_feature_prefix
 from .market_data import DatasetSplits, PatternSet
-from .neural import ScgConfig, Topology
+from .neural import ScgConfig
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +75,11 @@ def cycle_seed(master_seed: int, bits_str: str, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+#: Worst-case cycle row of an aborted training: (balanced error, error rate,
+#: MCC) on the test window, then the same three on the earlier-regime window.
+_ABORTED_CYCLE = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
+
+
 def _split_metrics(model, patterns: PatternSet, columns) -> tuple[float, float, float]:
     """(balanced_error, error_rate, mcc) of the model on one pattern set."""
     x = patterns.features[:, columns] if columns is not None else patterns.features
@@ -117,36 +122,24 @@ class _EvaluationProblem:
         c = genome_mod.complexity_of(n_selected, topology, self.space)
         train = self.splits.d_train
         x_train = train.features[:, columns] if columns is not None else train.features
-        y_train = train.labels
-        errs_test, errs_pr = [], []
-        rates_test, rates_pr, mccs_test, mccs_pr = [], [], [], []
+        rows = []   # per cycle: _split_metrics on d_test, then on d_pr
         for k in range(1, self.cfg.cycles + 1):
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
-            model = neural.scg_train(topology, x_train, y_train, self.cfg.scg, seed)
+            model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
                                k, bits_str[:16])
-                errs_test.append(1.0)
-                errs_pr.append(1.0)
-                rates_test.append(1.0)
-                rates_pr.append(1.0)
-                mccs_test.append(-1.0)
-                mccs_pr.append(-1.0)
+                rows.append(_ABORTED_CYCLE)
                 continue
-            be_t, er_t, mcc_t = _split_metrics(model, self.splits.d_test, columns)
-            be_p, er_p, mcc_p = _split_metrics(model, self.splits.d_pr, columns)
-            errs_test.append(be_t)
-            errs_pr.append(be_p)
-            rates_test.append(er_t)
-            rates_pr.append(er_p)
-            mccs_test.append(mcc_t)
-            mccs_pr.append(mcc_p)
+            rows.append(_split_metrics(model, self.splits.d_test, columns)
+                        + _split_metrics(model, self.splits.d_pr, columns))
+        errs_test, rates_test, mccs_test, errs_pr, rates_pr, mccs_pr = zip(*rows)
         return EvalRecord(
             objectives=ObjectiveVector(
                 e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
             ),
-            cycle_errors_test=tuple(errs_test),
-            cycle_errors_pr=tuple(errs_pr),
+            cycle_errors_test=errs_test,
+            cycle_errors_pr=errs_pr,
             test_error_rate=float(np.mean(rates_test)),
             pr_error_rate=float(np.mean(rates_pr)),
             test_mcc=float(np.mean(mccs_test)),
@@ -250,10 +243,3 @@ def scalarized_value(record: EvalRecord, cfg: ScalarizedConfig) -> float:
     return (cfg.theta_e * record.test_error_rate
             + cfg.theta_c * record.objectives.c
             + penalty(record, cfg))
-
-
-def scalarized_objective(genome_bits, splits: DatasetSplits, cfg: ScalarizedConfig,
-                         eval_cfg: EvalConfig,
-                         space: SearchSpaceConfig = SearchSpaceConfig()) -> float:
-    record = CoevolutionProblem(splits, space, eval_cfg).evaluate(genome_bits)
-    return scalarized_value(record, cfg)

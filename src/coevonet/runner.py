@@ -95,51 +95,32 @@ def _eval_config(settings: SearchSettings, run_seed: int) -> EvalConfig:
                       master_seed=run_seed)
 
 
-def _reduction_for(settings: SearchSettings, splits: DatasetSplits):
-    train = splits.d_train
-    if settings.reduction == "mrmr":
-        return baselines.mrmr_select(train.features, train.labels, settings.reduction_k)
-    if settings.reduction == "cfs":
-        return baselines.cfs_select(train.features, train.labels)
-    if settings.reduction == "pca":
-        return baselines.ReductionResult(
-            "PCA", pca=baselines.pca_reduce(train.features, variance_target=0.9999))
-    raise baselines.BaselineError(f"unknown reduction {settings.reduction!r}")
-
-
 def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
                     settings: SearchSettings, run_seed: int):
     """One search run; returns (archive, generation stats, problem)."""
     algo = settings.algorithm
+    eval_cfg = _eval_config(settings, run_seed)
+    engine = dict(population=settings.population,
+                  max_evaluations=settings.max_evaluations, seed=run_seed)
     if algo == "topology-only":
-        reduction = _reduction_for(settings, splits)
-        reduced = baselines.reduce_splits(splits, reduction)
-        cfg = Nsga2Config(population=settings.population,
-                          max_evaluations=settings.max_evaluations, seed=run_seed)
-        archive, stats, problem = baselines.topology_only_search(
-            reduced, space, cfg, _eval_config(settings, run_seed))
-        return archive, stats, problem
+        reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
+                                            settings.reduction_k)
+        return baselines.topology_only_search(baselines.reduce_splits(splits, reduction),
+                                              space, Nsga2Config(**engine), eval_cfg)
     if algo == "scalarized":
-        scalar_cfg = baselines.SCALARIZED_SCENARIOS[settings.scenario]
-        cfg = Nsga2Config(population=settings.population,
-                          max_evaluations=settings.max_evaluations, seed=run_seed)
         result, problem = baselines.scalarized_search(
-            splits, space, scalar_cfg, cfg, _eval_config(settings, run_seed))
+            splits, space, baselines.SCALARIZED_SCENARIOS[settings.scenario],
+            Nsga2Config(**engine), eval_cfg)
         archive = ParetoArchive()
         archive.add(result.best_bits, problem.cache[result.best_bits].objectives)
         return archive, result.trace, problem
-    problem = CoevolutionProblem(splits, space, _eval_config(settings, run_seed))
+    problem = CoevolutionProblem(splits, space, eval_cfg)
     if algo == "nsga2":
-        cfg = Nsga2Config(population=settings.population,
-                          max_evaluations=settings.max_evaluations, seed=run_seed)
-        archive, stats = moea.nsga2_run(problem, cfg)
+        archive, stats = moea.nsga2_run(problem, Nsga2Config(**engine))
     elif algo == "eagd":
-        cfg = EagdConfig(population=settings.population,
-                         max_evaluations=settings.max_evaluations, seed=run_seed)
-        archive, stats = moea.eagd_run(problem, cfg)
+        archive, stats = moea.eagd_run(problem, EagdConfig(**engine))
     elif algo == "random":
-        archive = moea.random_search_run(problem, settings.max_evaluations, run_seed)
-        stats = []
+        archive, stats = moea.random_search_run(problem, settings.max_evaluations, run_seed), []
     else:
         raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     return archive, stats, problem
@@ -267,17 +248,3 @@ def rule_of_thumb_topologies(n_features: int, n_classes: int, n_train: int) -> d
             layers.append((s2, neural.ActivationKind.TANH))
         out[rule] = Topology(tuple(layers))
     return out
-
-
-def best_rot_full_feature_holdout(splits: DatasetSplits, scg_cfg: ScgConfig,
-                                  seed: int) -> dict:
-    """Hold-out balanced error of the best full-feature rule-of-thumb network."""
-    n_features = splits.d_train.n_features
-    topologies = rule_of_thumb_topologies(n_features, neural.N_CLASSES, splits.d_train.n)
-    results = {}
-    for rule, topology in topologies.items():
-        model = train_final_model(topology, None, splits, scg_cfg, seed)
-        results[rule] = holdout_metrics(model, splits, None)
-    best_rule = min(results, key=lambda r: (results[r]["balanced_error"], r))
-    return {"per_rule": results, "best_rule": best_rule,
-            "best_balanced_error": results[best_rule]["balanced_error"]}

@@ -174,5 +174,6 @@ def save_series_csv(series: OhlcvSeries, path) -> None:
     with open(path, "w") as fh:
         fh.write("Date,Open,High,Low,Close,Volume\n")
         for i in range(len(series)):
-            fh.write(f"{series.dates[i]},{series.open[i]!r},{series.high[i]!r},"
-                     f"{series.low[i]!r},{series.close[i]!r},{series.volume[i]!r}\n")
+            prices = (series.open[i], series.high[i], series.low[i], series.close[i],
+                      series.volume[i])
+            fh.write(f"{series.dates[i]}," + ",".join(repr(float(v)) for v in prices) + "\n")

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_planted_splits
 from coevonet.baselines import (
-    BaselineError, SCALARIZED_SCENARIOS, cfs_select, discretize_equal_frequency,
+    BaselineError, SCALARIZED_SCENARIOS, cfs_select, discretize_equal_frequency, fit_reduction,
     mrmr_select, mutual_information, pca_reduce, reduce_splits, rule_of_thumb,
     scalarized_search, symmetrical_uncertainty, topology_only_search,
 )
@@ -186,6 +186,18 @@ class TestSearchBaselines:
     def test_scenarios_cover_printed_weights(self):
         weights = sorted((c.theta_e, c.theta_c) for c in SCALARIZED_SCENARIOS.values())
         assert weights == [(0.25, 0.75), (0.50, 0.50), (0.75, 0.25)]
+
+    def test_fit_reduction_dispatch(self, splits):
+        train = splits.d_train
+        assert fit_reduction("mrmr", train, 3).feature_indices == \
+            mrmr_select(train.features, train.labels, 3).feature_indices
+        assert fit_reduction("cfs", train, 3).feature_indices == \
+            cfs_select(train.features, train.labels).feature_indices
+        pca = fit_reduction("pca", train, 3, variance_target=0.5)
+        assert pca.method == "PCA"
+        assert pca.n_retained == pca_reduce(train.features, variance_target=0.5).n_components
+        with pytest.raises(BaselineError):
+            fit_reduction("lasso", train, 3)
 
     def test_reduce_splits_keeps_seal(self, splits):
         from coevonet.baselines import ReductionResult

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_walk_series
@@ -120,6 +120,7 @@ class TestBoundedFamilies:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=ohlcv_seeds())
+    @example(seed=200)  # rsi_5 once came out at 100 + 1.4e-14 here
     def test_rsi_psy_k_d_uo_bounds(self, seed):
         s = random_walk_series(90, seed=seed)
         for kind, taus in (("rsi", (5, 20)), ("psy", (5, 20)),

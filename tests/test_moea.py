@@ -30,6 +30,31 @@ def brute_force_fronts(objs):
     return fronts
 
 
+def deb_peeling_fronts(objs):
+    """Independent oracle of the front order: Deb's pairwise bookkeeping, verbatim."""
+    n = len(objs)
+    dominated_by = [[] for _ in range(n)]
+    count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(objs[i], objs[j]):
+                dominated_by[i].append(j)
+                count[j] += 1
+            elif dominates(objs[j], objs[i]):
+                dominated_by[j].append(i)
+                count[i] += 1
+    fronts = [[i for i in range(n) if count[i] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+    return fronts[:-1]
+
+
 def grid_hypervolume(points, ref):
     """Independent oracle: coordinate-compressed cell cover."""
     pts = np.asarray(points, dtype=float)
@@ -60,6 +85,24 @@ class TestDominance:
         for _ in range(25):
             objs = [tuple(v) for v in rng.random((20, 3)).round(2)]
             assert [sorted(f) for f in fast_nondominated_sort(objs)] == brute_force_fronts(objs)
+
+    def test_sort_keeps_deb_front_order_with_ties(self):
+        rng = np.random.default_rng(10)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            levels = int(rng.integers(2, 6))
+            arr = rng.integers(0, levels, size=(n, 3)) / levels
+            objs = [tuple(v) for v in arr]
+            expected = deb_peeling_fronts(objs)
+            assert fast_nondominated_sort(objs) == expected, trial
+            assert fast_nondominated_sort(arr) == expected, trial
+
+    def test_empty_sort(self):
+        assert fast_nondominated_sort([]) == []
+
+    def test_crowding_accepts_rows_or_sequences(self):
+        arr = np.array([(0.1, 0.9, 0.5), (0.5, 0.5, 0.5), (0.9, 0.1, 0.5)])
+        assert np.array_equal(crowding_distance(arr), crowding_distance([tuple(r) for r in arr]))
 
     def test_identical_objectives_single_front(self):
         objs = [(0.5, 0.5, 0.5)] * 6
@@ -252,3 +295,7 @@ class TestEngines:
         assert lines[0].startswith("# config_hash=abc")
         assert lines[1].split(",")[0] == "generation"
         assert len(lines) == len(stats) + 2
+        for line, s in zip(lines[2:], stats):
+            values = [float(field) for field in line.split(",")]
+            assert values == [s.generation, s.evaluations, s.front_size,
+                              *s.best, *s.mean, s.hypervolume]
