@@ -1,6 +1,6 @@
 """Comparison pipelines: filter/PCA reduction with rule-of-thumb topologies,
-topology-only multi-objective search over a frozen feature subset, and a
-scalarized single-objective co-evolution GA.
+reduced splits for the topology-only search over a frozen feature subset,
+and a scalarized single-objective co-evolution GA.
 
 Feature filters work on 10-bin equal-frequency discretized columns. mRmR
 greedily maximizes label relevance minus mean redundancy (both discrete
@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import moea
-from .genome import SearchSpaceConfig, string_to_bits
+from .genome import string_to_bits
 from .market_data import DatasetSplits, PatternSet
 from .moea import Nsga2Config
-from .objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
-                         TopologyOnlyProblem, scalarized_value)
+from .objectives import CoevolutionProblem, ScalarizedConfig, scalarized_value
 
 logger = logging.getLogger(__name__)
 
@@ -318,23 +317,6 @@ def reduce_splits(splits: DatasetSplits, reduction: ReductionResult) -> DatasetS
     )
 
 
-def topology_only_search(reduced_splits: DatasetSplits, space: SearchSpaceConfig,
-                         moea_cfg: Nsga2Config, eval_cfg: EvalConfig,
-                         algorithm: str = "nsga2"):
-    """Tri-objective search over topology bits with the feature subset frozen."""
-    problem = TopologyOnlyProblem(reduced_splits, space, eval_cfg)
-    if algorithm == "nsga2":
-        archive, stats = moea.nsga2_run(problem, moea_cfg)
-    elif algorithm == "eagd":
-        eagd_cfg = moea.EagdConfig(population=moea_cfg.population,
-                                   max_evaluations=moea_cfg.max_evaluations,
-                                   seed=moea_cfg.seed)
-        archive, stats = moea.eagd_run(problem, eagd_cfg)
-    else:
-        raise BaselineError(f"unknown algorithm {algorithm!r}")
-    return archive, stats, problem
-
-
 @dataclass
 class ScalarizedTracePoint:
     generation: int
@@ -342,22 +324,14 @@ class ScalarizedTracePoint:
     best_value: float
 
 
-@dataclass
-class ScalarizedResult:
-    best_bits: str
-    best_value: float
-    trace: list[ScalarizedTracePoint] = field(default_factory=list)
-
-
-def scalarized_search(splits: DatasetSplits, space: SearchSpaceConfig,
-                      scalar_cfg: ScalarizedConfig, ga_cfg: Nsga2Config,
-                      eval_cfg: EvalConfig) -> tuple[ScalarizedResult, CoevolutionProblem]:
+def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
+                      ga_cfg: Nsga2Config) -> tuple[moea.ParetoArchive, list[ScalarizedTracePoint]]:
     """Single-objective elitist GA over the co-evolution genome.
 
     Uses the same offspring pipeline and budget check as the multi-objective
-    engine, with binary tournament selection on the scalarized value.
+    engine, with binary tournament selection on the scalarized value. The
+    archive holds the best genome; the trace its value per generation.
     """
-    problem = CoevolutionProblem(splits, space, eval_cfg)
     rng = np.random.default_rng(ga_cfg.seed)
     cap = ga_cfg.max_evaluations
 
@@ -388,7 +362,9 @@ def scalarized_search(splits: DatasetSplits, space: SearchSpaceConfig,
         trace.append(ScalarizedTracePoint(gen, problem.fe_count, values[best_bits]))
     logger.info("scalarized GA: %d generations, %d evaluations, best %.4f",
                 gen, problem.fe_count, values[best_bits])
-    return ScalarizedResult(best_bits, values[best_bits], trace), problem
+    archive = moea.ParetoArchive()
+    archive.add(best_bits, problem.cache[best_bits].objectives)
+    return archive, trace
 
 
 #: The three preference scenarios used with the scalarized baseline.

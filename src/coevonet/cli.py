@@ -8,9 +8,16 @@ A typical desk-scale session on synthetic data:
     coevonet holdout-eval --data work/data --run work/run --preset O2
     coevonet export --run work/run --out work/run/front.csv
 
+``holdout-eval`` retrains the selection of a run of any ``--algo``: it
+rebuilds the run's evaluation problem from the settings in the merged
+archive's header, so a topology-only genome is decoded over the same reduced
+inputs it was searched on.
+
 Exit codes: 0 ok, 1 validation error, 2 runtime failure. Deterministic
 artifacts embed the config hash and master seed; rerunning a subcommand with
-an identical config reproduces them byte for byte.
+an identical config reproduces them byte for byte, at a fixed BLAS thread
+count (e.g. ``OPENBLAS_NUM_THREADS=1``): the thread count changes the last
+bits of matrix products, and with them which genomes a search keeps.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, indicators, market_data, neural, runner, synth
+from . import baselines, indicators, market_data, runner, synth
 from .baselines import BaselineError
 from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
-from .genome import GenomeError, SearchSpaceConfig, complexity_of
+from .genome import GenomeError, SearchSpaceConfig, complexity_of, decode
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
 from .neural import ScgConfig
+from .objectives import SCORE_NAMES, split_scores
 from .stats import StatsError, friedman_ranks, hommel_apv
 from .synth import SynthSpec
 
@@ -160,9 +168,11 @@ def cmd_holdout_eval(args) -> int:
     if not sel_path.exists():
         raise MarketDataError(f"no selection at {sel_path}; run `coevonet select` first")
     record = json.loads(sel_path.read_text())
+    settings = runner.SearchSettings(**_merged_archive(args.run)[1].get("settings", {}))
+    problem = runner.make_problem(splits, SearchSpaceConfig(), settings, settings.master_seed)
     result = runner.holdout_evaluate_genome(
-        record["genome"], splits, SearchSpaceConfig(),
-        ScgConfig(max_iter=args.scg_iters), seed=args.seed, cycles=args.cycles)
+        record["genome"], problem, ScgConfig(max_iter=args.scg_iters),
+        seed=args.seed, cycles=args.cycles)
     result["config_hash"] = record.get("config_hash", "")
     result["master_seed"] = record.get("master_seed", 0)
     result["preset"] = args.preset
@@ -188,17 +198,14 @@ def cmd_baseline(args) -> int:
         row = {"rule": rule, "s1": sizes[0], "s2": sizes[1] if len(sizes) > 1 else 0,
                "complexity": complexity_of(d, topology)}
         for split_name in ("test", "pr"):
-            ps = getattr(reduced, f"d_{split_name}")
-            pred = neural.predict(model, ps.features)
-            c = neural.confusion(pred, ps.labels)
-            row[f"{split_name}_accuracy"] = neural.accuracy(c)
-            row[f"{split_name}_mcc"] = neural.mcc(c)
-            row[f"{split_name}_balanced_error"] = neural.balanced_error(c)
+            scores = split_scores(model, getattr(reduced, f"d_{split_name}"), None)
+            row.update({f"{split_name}_{name}": v for name, v in zip(SCORE_NAMES, scores)})
         rows.append(row)
     out = Path(args.out) if args.out else Path(args.data) / f"baseline-{args.method}"
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = runner.config_hash({"command": "baseline", "method": args.method,
-                                   "k": args.k, "seed": args.seed})
+                                   "k": args.k, "seed": args.seed, "variance": args.variance,
+                                   "scg_iters": args.scg_iters})
     (out / "reduction.json").write_text(json.dumps(
         {"config_hash": cfg_hash, "master_seed": args.seed, **reduction.to_json_dict()},
         indent=2, sort_keys=True))
@@ -271,7 +278,6 @@ def cmd_export(args) -> int:
         w.writerow(["genome", "e_cv", "c", "e_pr", "n_features", "layers"])
         for bits, obj in archive.members():
             if len(bits) == space.genome_length:
-                from .genome import decode
                 arch = decode(bits, space)
                 nf = len(arch.feature_indices)
                 layers = arch.topology.describe()

@@ -102,7 +102,7 @@ def encode_layer_block(size: int, act: ActivationKind, bits_per_layer: int) -> n
 
 def decode_topology(bits: np.ndarray, cfg: SearchSpaceConfig) -> Topology:
     if bits.shape != (cfg.topology_bits,):
-        raise GenomeError(f"expected {cfg.topology_bits} topology bits")
+        raise GenomeError(f"expected {cfg.topology_bits} topology bits, got {bits.shape}")
     layers = []
     for k in range(cfg.n_layers):
         block = bits[k * cfg.bits_per_layer:(k + 1) * cfg.bits_per_layer]

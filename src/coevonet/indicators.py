@@ -258,7 +258,9 @@ def _col_oscp(s, x, y):
     ma_x = _rolling_mean(s.close, x)
     ma_y = _rolling_mean(s.close, y)
     valid = ~np.isnan(ma_x) & ~np.isnan(ma_y)
-    assert not np.any(ma_x[valid] == 0), "oscp undefined: zero moving average (non-positive prices?)"
+    if np.any(ma_x[valid] == 0):
+        raise IndicatorError(f"oscp_{x}_{y} undefined: zero {x}-day moving average "
+                             "(non-positive prices?)")
     return (ma_x - ma_y) / ma_x
 
 

@@ -391,14 +391,6 @@ class Standardizer:
             "constant_columns": list(self.constant_columns),
         }
 
-    @classmethod
-    def from_json_dict(cls, d) -> "Standardizer":
-        s = cls()
-        s.mean_ = np.asarray(d["mean"], dtype=float)
-        s.scale_ = np.asarray(d["scale"], dtype=float)
-        s.constant_columns = tuple(d["constant_columns"])
-        return s
-
 
 def fit_standardizer(train: PatternSet) -> Standardizer:
     return Standardizer().fit(train)

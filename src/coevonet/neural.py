@@ -13,7 +13,6 @@ assign worst-case fitness.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,10 +43,6 @@ class Topology:
     def active_layers(self) -> tuple[tuple[int, ActivationKind], ...]:
         """Active layers compacted in order; size-0 entries are skipped."""
         return tuple((s, ActivationKind(a)) for s, a in self.layers if s > 0)
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active_layers)
 
     def describe(self) -> str:
         if not self.active_layers:
@@ -189,9 +184,6 @@ class TrainedModel:
             "final_loss": self.final_loss,
             "iterations": self.iterations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainedModel":

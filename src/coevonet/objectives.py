@@ -75,17 +75,19 @@ def cycle_seed(master_seed: int, bits_str: str, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: Worst-case cycle row of an aborted training: (balanced error, error rate,
-#: MCC) on the test window, then the same three on the earlier-regime window.
-_ABORTED_CYCLE = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
+#: The scores ``split_scores`` returns, in order.
+SCORE_NAMES = ("accuracy", "mcc", "balanced_error")
+
+#: Worst-case scores of an aborted training, on the test window and then on
+#: the earlier-regime window.
+_ABORTED_CYCLE = (0.0, -1.0, 1.0, 0.0, -1.0, 1.0)
 
 
-def _split_metrics(model, patterns: PatternSet, columns) -> tuple[float, float, float]:
-    """(balanced_error, error_rate, mcc) of the model on one pattern set."""
+def split_scores(model, patterns: PatternSet, columns) -> tuple[float, float, float]:
+    """(accuracy, mcc, balanced_error) on one pattern set; ``columns`` None feeds all."""
     x = patterns.features[:, columns] if columns is not None else patterns.features
-    pred = neural.predict(model, x)
-    c = neural.confusion(pred, patterns.labels)
-    return neural.balanced_error(c), 1.0 - neural.accuracy(c), neural.mcc(c)
+    c = neural.confusion(neural.predict(model, x), patterns.labels)
+    return neural.accuracy(c), neural.mcc(c), neural.balanced_error(c)
 
 
 class _EvaluationProblem:
@@ -101,7 +103,8 @@ class _EvaluationProblem:
         self.cache_hits = 0
         self._trace_path = trace_path
 
-    # subclasses define: n_bits, repair(bits, rng), _decode(bits_str)
+    # subclasses define n_bits, repair(bits, rng) and decode(bits_str), which
+    # returns (input columns or None for all, input count, topology)
 
     def evaluate(self, bits) -> EvalRecord:
         bits_str = bits if isinstance(bits, str) else genome_mod.bits_to_string(bits)
@@ -118,11 +121,11 @@ class _EvaluationProblem:
         return record
 
     def _evaluate_fresh(self, bits_str: str) -> EvalRecord:
-        columns, n_selected, topology = self._decode(bits_str)
+        columns, n_selected, topology = self.decode(bits_str)
         c = genome_mod.complexity_of(n_selected, topology, self.space)
         train = self.splits.d_train
         x_train = train.features[:, columns] if columns is not None else train.features
-        rows = []   # per cycle: _split_metrics on d_test, then on d_pr
+        rows = []   # per cycle: split_scores on d_test, then on d_pr
         for k in range(1, self.cfg.cycles + 1):
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
             model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
@@ -131,17 +134,17 @@ class _EvaluationProblem:
                                k, bits_str[:16])
                 rows.append(_ABORTED_CYCLE)
                 continue
-            rows.append(_split_metrics(model, self.splits.d_test, columns)
-                        + _split_metrics(model, self.splits.d_pr, columns))
-        errs_test, rates_test, mccs_test, errs_pr, rates_pr, mccs_pr = zip(*rows)
+            rows.append(split_scores(model, self.splits.d_test, columns)
+                        + split_scores(model, self.splits.d_pr, columns))
+        accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
         return EvalRecord(
             objectives=ObjectiveVector(
                 e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
             ),
             cycle_errors_test=errs_test,
             cycle_errors_pr=errs_pr,
-            test_error_rate=float(np.mean(rates_test)),
-            pr_error_rate=float(np.mean(rates_pr)),
+            test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
+            pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
             test_mcc=float(np.mean(mccs_test)),
             pr_mcc=float(np.mean(mccs_pr)),
         )
@@ -168,12 +171,9 @@ class CoevolutionProblem(_EvaluationProblem):
     def repair(self, bits: np.ndarray, rng) -> np.ndarray:
         return repair_feature_prefix(bits, self.space, rng)
 
-    def _decode(self, bits_str: str):
+    def decode(self, bits_str: str):
         arch = genome_mod.decode(bits_str, self.space)
-        return np.asarray(arch.feature_indices), len(arch.feature_indices), arch.topology
-
-    def decode_architecture(self, bits_str: str):
-        return genome_mod.decode(bits_str, self.space)
+        return arch.feature_indices, len(arch.feature_indices), arch.topology
 
 
 class TopologyOnlyProblem(_EvaluationProblem):
@@ -198,13 +198,8 @@ class TopologyOnlyProblem(_EvaluationProblem):
     def repair(self, bits: np.ndarray, rng) -> np.ndarray:
         return bits
 
-    def _decode(self, bits_str: str):
-        bits = genome_mod.string_to_bits(bits_str)
-        if bits.shape != (self.space.topology_bits,):
-            raise genome_mod.GenomeError(
-                f"expected {self.space.topology_bits} topology bits, got {bits.shape}"
-            )
-        topology = decode_topology(bits, self.space)
+    def decode(self, bits_str: str):
+        topology = decode_topology(genome_mod.string_to_bits(bits_str), self.space)
         return None, self.fixed_feature_count, topology
 
 

@@ -29,7 +29,8 @@ from .genome import SearchSpaceConfig, decode
 from .market_data import DatasetSplits
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
 from .neural import ScgConfig, Topology
-from .objectives import CoevolutionProblem, EvalConfig, ObjectiveVector
+from .objectives import (SCORE_NAMES, CoevolutionProblem, EvalConfig, ObjectiveVector,
+                         TopologyOnlyProblem, split_scores)
 
 logger = logging.getLogger(__name__)
 
@@ -85,44 +86,51 @@ class SearchSettings:
     reduction_k: int = 17
     scenario: str = "balanced"     # scalarized preset weights
 
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        if self.max_evaluations < 1:
+            raise ValueError(f"max_evaluations {self.max_evaluations} must be >= 1")
+        if self.runs < 1:
+            raise ValueError(f"runs {self.runs} must be >= 1")
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
-def _eval_config(settings: SearchSettings, run_seed: int) -> EvalConfig:
-    return EvalConfig(cycles=settings.cycles,
-                      scg=ScgConfig(max_iter=settings.scg_max_iter),
-                      master_seed=run_seed)
+def make_problem(splits: DatasetSplits, space: SearchSpaceConfig,
+                 settings: SearchSettings, run_seed: int):
+    """The evaluation problem of one run, the one owner of what its genomes mean.
+
+    Topology-only runs fit the a-priori reduction on the training split and
+    search topologies over the reduced splits; every other algorithm searches
+    the full co-evolution genome.
+    """
+    cfg = EvalConfig(cycles=settings.cycles, scg=ScgConfig(max_iter=settings.scg_max_iter),
+                     master_seed=run_seed)
+    if settings.algorithm == "topology-only":
+        reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
+                                            settings.reduction_k)
+        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction), space, cfg)
+    return CoevolutionProblem(splits, space, cfg)
 
 
 def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
                     settings: SearchSettings, run_seed: int):
     """One search run; returns (archive, generation stats, problem)."""
-    algo = settings.algorithm
-    eval_cfg = _eval_config(settings, run_seed)
+    problem = make_problem(splits, space, settings, run_seed)
     engine = dict(population=settings.population,
                   max_evaluations=settings.max_evaluations, seed=run_seed)
-    if algo == "topology-only":
-        reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
-                                            settings.reduction_k)
-        return baselines.topology_only_search(baselines.reduce_splits(splits, reduction),
-                                              space, Nsga2Config(**engine), eval_cfg)
-    if algo == "scalarized":
-        result, problem = baselines.scalarized_search(
-            splits, space, baselines.SCALARIZED_SCENARIOS[settings.scenario],
-            Nsga2Config(**engine), eval_cfg)
-        archive = ParetoArchive()
-        archive.add(result.best_bits, problem.cache[result.best_bits].objectives)
-        return archive, result.trace, problem
-    problem = CoevolutionProblem(splits, space, eval_cfg)
-    if algo == "nsga2":
-        archive, stats = moea.nsga2_run(problem, Nsga2Config(**engine))
-    elif algo == "eagd":
+    algo = settings.algorithm
+    if algo == "eagd":
         archive, stats = moea.eagd_run(problem, EagdConfig(**engine))
+    elif algo == "scalarized":
+        archive, stats = baselines.scalarized_search(
+            problem, baselines.SCALARIZED_SCENARIOS[settings.scenario], Nsga2Config(**engine))
     elif algo == "random":
         archive, stats = moea.random_search_run(problem, settings.max_evaluations, run_seed), []
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    else:   # nsga2, and topology-only over its reduced inputs
+        archive, stats = moea.nsga2_run(problem, Nsga2Config(**engine))
     return archive, stats, problem
 
 
@@ -142,7 +150,7 @@ def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
     """Run seeds master_seed+1 .. master_seed+runs and merge the archives."""
     cfg_hash = config_hash(settings.to_dict())
     meta = {"config_hash": cfg_hash, "master_seed": settings.master_seed,
-            "algorithm": settings.algorithm}
+            "algorithm": settings.algorithm, "settings": settings.to_dict()}
     out = Path(out_dir) if out_dir is not None else None
     per_run = []
     timing = {}
@@ -200,41 +208,29 @@ def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits
                             feature_indices=feature_indices)
 
 
-def holdout_metrics(model: neural.TrainedModel, splits: DatasetSplits,
-                    feature_indices) -> dict:
-    hold = splits.open_holdout()
-    x = hold.features[:, list(feature_indices)] if feature_indices is not None else hold.features
-    pred = neural.predict(model, x)
-    c = neural.confusion(pred, hold.labels)
-    return {
-        "accuracy": neural.accuracy(c),
-        "mcc": neural.mcc(c),
-        "balanced_error": neural.balanced_error(c),
-        "confusion": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
-    }
-
-
-def holdout_evaluate_genome(bits: str, splits: DatasetSplits, space: SearchSpaceConfig,
-                            scg_cfg: ScgConfig, seed: int, cycles: int = 1) -> dict:
+def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
+                            cycles: int = 1) -> dict:
     """Retrain the selected architecture at final quality; report hold-out metrics.
 
-    With cycles > 1 the metrics are means over independently seeded trainings.
+    ``problem`` is the run's evaluation problem (see ``make_problem``): it
+    decodes the genome and holds the splits the search trained on; a
+    topology-only architecture reads every reduced input (``feature_indices``
+    null). With cycles > 1 the metrics are means over independently seeded
+    trainings.
     """
-    arch = decode(bits, space)
-    metrics = []
+    columns, _, topology = problem.decode(bits)
+    hold = problem.splits.open_holdout()
+    scores = []
     for k in range(cycles):
-        model = train_final_model(arch.topology, arch.feature_indices, splits,
-                                  scg_cfg, seed + k)
-        metrics.append(holdout_metrics(model, splits, arch.feature_indices))
-    out = {
+        model = train_final_model(topology, columns, problem.splits, scg_cfg, seed + k)
+        scores.append(split_scores(model, hold, columns))
+    return {
         "genome": bits,
-        "architecture": arch.to_json_dict(),
+        "architecture": {"feature_indices": columns,
+                         "layers": [[s, a.value] for s, a in topology.layers]},
         "cycles": cycles,
-        "accuracy": float(np.mean([m["accuracy"] for m in metrics])),
-        "mcc": float(np.mean([m["mcc"] for m in metrics])),
-        "balanced_error": float(np.mean([m["balanced_error"] for m in metrics])),
+        **{name: float(np.mean(values)) for name, values in zip(SCORE_NAMES, zip(*scores))},
     }
-    return out
 
 
 def rule_of_thumb_topologies(n_features: int, n_classes: int, n_train: int) -> dict[str, Topology]:

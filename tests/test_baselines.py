@@ -5,12 +5,13 @@ from conftest import make_planted_splits
 from coevonet.baselines import (
     BaselineError, SCALARIZED_SCENARIOS, cfs_select, discretize_equal_frequency, fit_reduction,
     mrmr_select, mutual_information, pca_reduce, reduce_splits, rule_of_thumb,
-    scalarized_search, symmetrical_uncertainty, topology_only_search,
+    scalarized_search, symmetrical_uncertainty,
 )
 from coevonet.genome import SearchSpaceConfig
-from coevonet.moea import Nsga2Config
+from coevonet.moea import Nsga2Config, nsga2_run
 from coevonet.neural import ScgConfig
-from coevonet.objectives import EvalConfig, ScalarizedConfig
+from coevonet.objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
+                                 TopologyOnlyProblem)
 
 
 class TestPca:
@@ -164,7 +165,8 @@ class TestSearchBaselines:
         space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=40, seed=2)
         eval_cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=15), master_seed=2)
-        archive, stats, problem = topology_only_search(splits, space, cfg, eval_cfg)
+        problem = TopologyOnlyProblem(splits, space, eval_cfg)
+        archive, _ = nsga2_run(problem, cfg)
         assert problem.n_bits == 16
         assert len(archive) >= 1
         # feature term is frozen: complexity differences come from topology only
@@ -177,11 +179,14 @@ class TestSearchBaselines:
         space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=50, seed=3)
         eval_cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=15), master_seed=3)
-        r1, _ = scalarized_search(splits, space, ScalarizedConfig(), cfg, eval_cfg)
-        r2, _ = scalarized_search(splits, space, ScalarizedConfig(), cfg, eval_cfg)
-        assert r1.best_bits == r2.best_bits
-        assert r1.best_value == r2.best_value
-        assert r1.trace[-1].best_value <= r1.trace[0].best_value
+        a1, t1 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
+                                   ScalarizedConfig(), cfg)
+        a2, t2 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
+                                   ScalarizedConfig(), cfg)
+        assert len(a1) == 1
+        assert a1.members() == a2.members()
+        assert t1 == t2
+        assert t1[-1].best_value <= t1[0].best_value
 
     def test_scenarios_cover_printed_weights(self):
         weights = sorted((c.theta_e, c.theta_c) for c in SCALARIZED_SCENARIOS.values())

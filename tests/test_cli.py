@@ -76,3 +76,35 @@ def test_ingest_reads_the_written_csv(sessions, tmp_path):
 
 def test_validation_error_exits_1(tmp_path):
     assert cli.main(["select", "--run", str(tmp_path / "missing")]) == 1
+
+
+@pytest.mark.parametrize("algo", ["nsga2", "eagd"])
+def test_search_without_budget_exits_1(sessions, tmp_path, algo):
+    assert cli.main(["search", "--data", str(sessions[0] / "data"), "--algo", algo,
+                     "--fe", "0", "--runs", "1", "--out", str(tmp_path)]) == 1
+
+
+def test_baseline_hash_covers_scg_iters(sessions, tmp_path):
+    headers = []
+    for iters in ("5", "10"):
+        out = tmp_path / iters
+        assert cli.main(["baseline", "--data", str(sessions[0] / "data"), "--method", "mrmr",
+                         "--k", "5", "--scg-iters", iters, "--out", str(out)]) == 0
+        headers.append((out / "rules.csv").read_text().splitlines()[0])
+    assert headers[0] != headers[1]
+
+
+def test_topology_only_selection_scores_on_the_holdout(sessions, tmp_path):
+    data, run = str(sessions[0] / "data"), str(tmp_path)
+    steps = [
+        ["search", "--data", data, "--algo", "topology-only", "--reduction-k", "5", "--fe", "4",
+         "--population", "2", "--cycles", "1", "--scg-iters", "20", "--runs", "1",
+         "--out", run],
+        ["select", "--run", run, "--preset", "O2"],
+        ["holdout-eval", "--data", data, "--run", run, "--preset", "O2", "--scg-iters", "30"],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv[0]
+    record = json.loads((tmp_path / "holdout" / "O2.json").read_text())
+    assert len(record["genome"]) == 16
+    assert 0.0 <= record["balanced_error"] <= 1.0

@@ -17,7 +17,7 @@ from coevonet.baselines import scalarized_search
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import EagdConfig, Nsga2Config, eagd_run, nsga2_run, random_search_run
 from coevonet.neural import ScgConfig
-from coevonet.objectives import EvalConfig, ScalarizedConfig
+from coevonet.objectives import CoevolutionProblem, EvalConfig, ScalarizedConfig
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_engines.json")).read_text())
 
@@ -57,11 +57,12 @@ def test_engine_matches_recorded_run(name):
 
 def test_scalarized_matches_recorded_run():
     splits = make_planted_splits(n_features=8, seed=14)
-    result, _ = scalarized_search(
-        splits, SearchSpaceConfig(n_features=8), ScalarizedConfig(),
-        Nsga2Config(population=6, max_evaluations=30, seed=3),
-        EvalConfig(cycles=2, scg=ScgConfig(max_iter=15), master_seed=3))
+    problem = CoevolutionProblem(splits, SearchSpaceConfig(n_features=8),
+                                 EvalConfig(cycles=2, scg=ScgConfig(max_iter=15), master_seed=3))
+    archive, trace = scalarized_search(problem, ScalarizedConfig(),
+                                       Nsga2Config(population=6, max_evaluations=30, seed=3))
     expected = GOLDEN["scalarized"]
-    assert result.best_bits == expected["best_bits"]
-    assert result.best_value == expected["best_value"]
-    assert [[t.generation, t.evaluations, t.best_value] for t in result.trace] == expected["trace"]
+    [(best_bits, _)] = archive.members()
+    assert best_bits == expected["best_bits"]
+    assert trace[-1].best_value == expected["best_value"]
+    assert [[t.generation, t.evaluations, t.best_value] for t in trace] == expected["trace"]

@@ -6,6 +6,7 @@ from conftest import make_planted_splits
 from coevonet import baselines, runner
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import ParetoArchive, merge_archives
+from coevonet.neural import ScgConfig
 from coevonet.objectives import ObjectiveVector
 
 SPACE = SearchSpaceConfig(n_features=8)
@@ -51,15 +52,32 @@ def test_topology_only_uses_the_named_reduction(splits, reduction):
     assert problem.splits.d_train.n_features == expected
 
 
-def test_unknown_algorithm(splits):
+def test_unknown_algorithm():
     with pytest.raises(ValueError):
-        runner.run_single_seed(splits, SPACE, _settings("tabu"), 3)
+        _settings("tabu")
+
+
+@pytest.mark.parametrize("overrides", [{"max_evaluations": 0}, {"runs": 0}])
+def test_settings_reject_empty_searches(overrides):
+    with pytest.raises(ValueError):
+        _settings("nsga2", **overrides)
+
+
+@pytest.mark.parametrize("algorithm", ["nsga2", "topology-only"])
+def test_holdout_decodes_through_the_run_problem(splits, algorithm):
+    archive, _, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
+    bits = archive.members()[0][0]
+    result = runner.holdout_evaluate_genome(bits, problem, ScgConfig(max_iter=10), seed=1,
+                                            cycles=2)
+    assert result["genome"] == bits and result["cycles"] == 2
+    assert all(0.0 <= result[name] <= 1.0 for name in ("accuracy", "balanced_error"))
 
 
 def test_protocol_merges_runs_and_writes_artifacts(splits, tmp_path):
     settings = _settings("nsga2", runs=2)
     merged, meta = runner.run_search_protocol(splits, SPACE, settings, tmp_path)
     assert meta["config_hash"] == runner.config_hash(settings.to_dict())
+    assert runner.SearchSettings(**meta["settings"]) == settings
     per_run = [runner.read_archive_jsonl(tmp_path / "nsga2" / f"seed-{k}" / "archive.jsonl")[0]
                for k in (1, 2)]
     assert merged.members() == merge_archives(per_run).members()
