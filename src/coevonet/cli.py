@@ -40,7 +40,7 @@ from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
 from .neural import ScgConfig
 from .objectives import SCORE_NAMES, split_scores
-from .stats import StatsError, friedman_ranks, hommel_apv
+from .stats import StatsError, friedman_ranks, hommel_apv, normal_sf
 from .synth import SynthSpec
 
 logger = logging.getLogger(__name__)
@@ -91,7 +91,13 @@ def cmd_ingest(args) -> int:
     if args.synthetic and args.boundaries:
         split = _parse_boundaries(args.boundaries)
     patterns = market_data.build_patterns(series)
-    splits = market_data.split_by_dates(patterns, split)
+    try:
+        splits = market_data.split_by_dates(patterns, split)
+    except MarketDataError as exc:
+        raise MarketDataError(
+            f"{exc}; the series runs from {series.dates[0]} to {series.dates[-1]}, so pass "
+            "--boundaries with five dates inside it (a synthetic dataset lists its windows "
+            "in splits/manifest.json)") from exc
     standardized, standardizer = market_data.standardize_splits(splits)
     cfg_hash = runner.config_hash({
         "command": "ingest", "csv": str(args.csv), "synthetic": args.synthetic,
@@ -241,7 +247,6 @@ def cmd_stats(args) -> int:
     k = len(methods)
     n = table.shape[0]
     se = float(np.sqrt(k * (k + 1) / (6.0 * n)))
-    from scipy.stats import norm
     ci = methods.index(control)
     others, pvals = [], []
     for j, m in enumerate(methods):
@@ -249,7 +254,7 @@ def cmd_stats(args) -> int:
             continue
         z = (fr.mean_ranks[j] - fr.mean_ranks[ci]) / se
         others.append(m)
-        pvals.append(float(norm.sf(z)))
+        pvals.append(normal_sf(float(z)))
     hres = hommel_apv(np.array(pvals), alpha=args.alpha)
     print(f"Hommel post-hoc vs control {control!r} "
           f"(reject when APV <= {args.alpha}; one-sided 95% family: APV <= 0.025)")

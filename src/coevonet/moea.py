@@ -221,6 +221,15 @@ class EagdConfig:
     max_evaluations: int = 15000
     seed: int = 1
 
+    def __post_init__(self):
+        if self.population < 2:
+            raise ValueError("population must be >= 2")
+        for p in (self.crossover_rate, self.neighborhood_fraction):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError("crossover_rate and neighborhood_fraction must lie in [0, 1]")
+        if self.learning_generations < 0:
+            raise ValueError("learning_generations must be >= 0")
+
     @property
     def neighborhood_size(self) -> int:
         return max(2, math.ceil(self.neighborhood_fraction * self.population))

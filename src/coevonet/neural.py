@@ -8,6 +8,11 @@ The trainer is a from-scratch scaled-conjugate-gradient minimizer over the
 flattened weight vector. Accepted steps never increase the loss; a NaN loss
 aborts the run and is reported via ``TrainedModel.aborted`` so callers can
 assign worst-case fitness.
+
+An accepted SCG iteration costs 2 forward and 2 backward passes: one of each
+for the curvature probe at ``theta + sigma·p``, one forward pass at the trial
+point ``theta + alpha·p``, and one backward pass from that same forward pass
+once the step is accepted. A rejected iteration costs 1 forward pass.
 """
 
 from __future__ import annotations
@@ -126,29 +131,40 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _loss_and_grad(theta, sizes, activations, x, y_onehot):
-    """Mean cross-entropy and its gradient w.r.t. the flattened weights."""
-    params = _unflatten(theta, sizes)
-    outs = _forward(params, x, activations)
-    logits = outs[-1]
-    log_p = _log_softmax(logits)
-    n = x.shape[0]
-    loss = -float((y_onehot * log_p).sum()) / n
-    delta = (np.exp(log_p) - y_onehot) / n
-    grads = [None] * len(params)
-    for i in range(len(params) - 1, -1, -1):
-        a_prev = outs[i]
-        grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
-        if i > 0:
-            w, _ = params[i]
-            delta = (delta @ w.T) * _activate_grad(outs[i], activations[i - 1])
-    return loss, _flatten(grads)
+class _CrossEntropy:
+    """Mean cross-entropy of one net on fixed patterns, over the flat weights.
 
+    ``forward`` returns the loss and the pass that produced it, so that a
+    caller who later needs the gradient at the same point backpropagates from
+    the kept activations instead of running the forward pass again.
+    """
 
-def loss_only(theta, sizes, activations, x, y_onehot) -> float:
-    params = _unflatten(theta, sizes)
-    log_p = _log_softmax(_forward(params, x, activations)[-1])
-    return -float((y_onehot * log_p).sum()) / x.shape[0]
+    def __init__(self, sizes, activations, x, y_onehot):
+        self.sizes = sizes
+        self.activations = activations
+        self.x = x
+        self.y_onehot = y_onehot
+
+    def forward(self, theta):
+        params = _unflatten(theta, self.sizes)
+        outs = _forward(params, self.x, self.activations)
+        log_p = _log_softmax(outs[-1])
+        loss = -float((self.y_onehot * log_p).sum()) / self.x.shape[0]
+        return loss, (theta, params, outs, log_p)
+
+    def gradient(self, forward_pass) -> np.ndarray:
+        """Gradient at the point of ``forward_pass``, written into one flat buffer."""
+        theta, params, outs, log_p = forward_pass
+        delta = (np.exp(log_p) - self.y_onehot) / self.x.shape[0]
+        grad = np.empty_like(theta)
+        grad_views = _unflatten(grad, self.sizes)
+        for i in range(len(params) - 1, -1, -1):
+            grad_w, grad_b = grad_views[i]
+            np.matmul(outs[i].T, delta, out=grad_w)
+            delta.sum(axis=0, out=grad_b)
+            if i > 0:
+                delta = (delta @ params[i][0].T) * _activate_grad(outs[i], self.activations[i - 1])
+        return grad
 
 
 @dataclass
@@ -196,18 +212,21 @@ class TrainedModel:
                    d["final_loss"], d["iterations"])
 
 
-def _scg_minimize(theta0, loss_fn, grad_fn, cfg: ScgConfig, trace: list | None = None):
+def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
+                  trace: list | None = None):
     """Moller's scaled conjugate gradient; returns (theta, loss, iters, aborted).
 
+    The trial point of a step is evaluated once: an accepted step keeps that
+    array as the new ``theta`` and backpropagates from its forward pass.
     ``trace``, when given, receives the loss after every accepted step.
     """
     theta = theta0.copy()
-    f = loss_fn(theta)
+    f, current = objective.forward(theta)
     if not np.isfinite(f):
         return theta0, float("nan"), 0, True
     if trace is not None:
         trace.append(f)
-    r = -grad_fn(theta)
+    r = -objective.gradient(current)
     p = r.copy()
     lam, lam_bar = cfg.lambda_init, 0.0
     success = True
@@ -221,7 +240,8 @@ def _scg_minimize(theta0, loss_fn, grad_fn, cfg: ScgConfig, trace: list | None =
             if p2 == 0.0 or math.sqrt(p2) < 1e-300:
                 break
             sigma = cfg.sigma / math.sqrt(p2)
-            s = (grad_fn(theta + sigma * p) - (-r)) / sigma
+            g_sigma = objective.gradient(objective.forward(theta + sigma * p)[1])
+            s = (g_sigma - (-r)) / sigma
             delta = float(p @ s)
         # scale the curvature estimate; delta accumulates over failed steps
         delta += (lam - lam_bar) * p2
@@ -233,18 +253,19 @@ def _scg_minimize(theta0, loss_fn, grad_fn, cfg: ScgConfig, trace: list | None =
         if mu == 0.0:
             break
         alpha = mu / delta
-        f_new = loss_fn(theta + alpha * p)
+        trial = theta + alpha * p
+        f_new, trial_pass = objective.forward(trial)
         if np.isfinite(f_new):
             comparison = 2.0 * delta * (f - f_new) / (mu * mu)
         else:
             comparison = -math.inf
         iters = k + 1
         if comparison >= 0:
-            theta = theta + alpha * p
+            theta = trial
             f_prev, f = f, f_new
             if trace is not None:
                 trace.append(f)
-            r_new = -grad_fn(theta)
+            r_new = -objective.gradient(trial_pass)
             if not np.isfinite(r_new).all():
                 return theta, f, iters, True
             lam_bar = 0.0
@@ -284,14 +305,8 @@ def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
     y_onehot[:, 0] = y == 1
     y_onehot[:, 1] = y == 0
     theta0 = _flatten(init_weights(topology, n_inputs, seed))
-
-    def loss_fn(t):
-        return loss_only(t, sizes, activations, x, y_onehot)
-
-    def grad_fn(t):
-        return _loss_and_grad(t, sizes, activations, x, y_onehot)[1]
-
-    theta, loss, iters, aborted = _scg_minimize(theta0, loss_fn, grad_fn, cfg)
+    objective = _CrossEntropy(sizes, activations, x, y_onehot)
+    theta, loss, iters, aborted = _scg_minimize(theta0, objective, cfg)
     if aborted:
         logger.warning("SCG aborted on non-finite loss (topology %s)", topology.describe())
     return TrainedModel(

@@ -1,15 +1,56 @@
-"""Nonparametric comparison statistics for per-run metric tables."""
+"""Nonparametric comparison statistics for per-run metric tables.
+
+The ranks and the two distribution tails are computed here with numpy and
+``math``, so importing the package does not load scipy.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 
 class StatsError(ValueError):
     pass
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    group = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    ranks = np.empty(values.size)
+    ranks[order] = ((starts[:-1] + starts[1:] + 1) / 2.0)[group]
+    return ranks
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of a chi-square with a positive integer ``df``.
+
+    Closed form of the regularized upper incomplete gamma Q(df/2, x/2): the
+    terms (x/2)^e e^(-x/2) / Gamma(e+1) for e = 0, 1, ... < df/2 at even df,
+    and e = 1/2, 3/2, ... < df/2 plus erfc(sqrt(x/2)) at odd df.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    odd = df % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    log_h = math.log(h)
+    e = 0.5 * odd
+    while e < df / 2.0:
+        total += math.exp(e * log_h - h - math.lgamma(e + 1.0))
+        e += 1.0
+    return min(total, 1.0)
+
+
+def normal_sf(z: float) -> float:
+    """Upper tail P(Z > z) of the standard normal."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -34,10 +75,10 @@ def friedman_ranks(table, higher_is_better: bool = True) -> FriedmanResult:
         raise StatsError("table contains non-finite entries")
     n, k = x.shape
     signed = -x if higher_is_better else x
-    ranks = np.vstack([rankdata(row, method="average") for row in signed])
+    ranks = np.vstack([average_ranks(row) for row in signed])
     mean_ranks = ranks.mean(axis=0)
     statistic = 12.0 * n / (k * (k + 1)) * float(((mean_ranks - (k + 1) / 2.0) ** 2).sum())
-    p_value = float(chi2.sf(statistic, k - 1))
+    p_value = chi2_sf(statistic, k - 1)
     return FriedmanResult(mean_ranks=mean_ranks, statistic=statistic,
                           p_value=p_value, rank_matrix=ranks)
 

@@ -1,6 +1,9 @@
 """The documented CLI session, run in-process on synthetic data."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,67 @@ def test_topology_only_selection_scores_on_the_holdout(sessions, tmp_path):
     record = json.loads((tmp_path / "holdout" / "O2.json").read_text())
     assert len(record["genome"]) == 16
     assert 0.0 <= record["balanced_error"] <= 1.0
+
+
+def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):
+    assert cli.main(["search", "--data", str(sessions[0] / "data"), "--algo", "eagd",
+                     "--population", "0", "--fe", "5", "--runs", "1",
+                     "--out", str(tmp_path)]) == 1
+    assert "population must be >= 2" in capsys.readouterr().err
+
+
+def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path, capsys):
+    csv_path = sessions[0] / "data" / "ohlcv.csv"
+    rows = [line.split(",")[0] for line in csv_path.read_text().splitlines()
+            if line[:1].isdigit()]
+    assert cli.main(["ingest", "--csv", str(csv_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "matched no patterns" in err
+    assert f"from {rows[0]} to {rows[-1]}" in err
+    assert "--boundaries" in err and "splits/manifest.json" in err
+
+
+STATS_TABLE = """# balanced error per run
+run,coevo,mrmr,pca,cfs
+r1,0.21,0.30,0.30,0.28
+r2,0.19,0.27,0.31,0.27
+r3,0.25,0.25,0.33,0.29
+r4,0.22,0.31,0.29,0.30
+r5,0.18,0.26,0.34,0.26
+r6,0.20,0.28,0.30,0.31
+"""
+
+
+def test_stats_matches_the_scipy_p_values(tmp_path):
+    # p-values as the scipy-backed implementation wrote them for this table
+    table, out = tmp_path / "table.csv", tmp_path / "stats.json"
+    table.write_text(STATS_TABLE)
+    assert cli.main(["stats", "--table", str(table), "--table-has-index",
+                     "--lower-is-better", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["control"] == "coevo"
+    friedman = result["friedman"]
+    assert friedman["statistic"] == 10.75
+    assert friedman["mean_ranks"] == {"cfs": 2.8333333333333335, "coevo": 1.0833333333333333,
+                                      "mrmr": 2.6666666666666665, "pca": 3.4166666666666665}
+    assert abs(friedman["p_value"] - 0.01315745941944366) <= 1e-12
+    expected = {"mrmr": (0.016824012937380815, 0.016824012937380815),
+                "pca": (0.0008725593497644525, 0.0026176780492933576),
+                "cfs": (0.009440520078049386, 0.016824012937380815)}
+    assert [row["method"] for row in result["hommel"]] == list(expected)
+    for row in result["hommel"]:
+        p_value, apv = expected[row["method"]]
+        assert abs(row["p_value"] - p_value) <= 1e-12
+        assert abs(row["apv"] - apv) <= 1e-12
+        assert row["reject"] is True
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    probe = ("import sys, coevonet.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -285,6 +285,13 @@ class TestEngines:
         assert p1.fe_count <= 150
         assert a1.is_dominance_fixed_point()
 
+    @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0),
+                                     dict(crossover_rate=1.5), dict(neighborhood_fraction=-0.1),
+                                     dict(learning_generations=-1)])
+    def test_eagd_config_rejects_invalid_values(self, bad):
+        with pytest.raises(ValueError):
+            EagdConfig(**bad)
+
     def test_generation_stats_csv_round_trip(self, tmp_path):
         _, stats = nsga2_run(MockProblem(), Nsga2Config(population=20,
                                                         max_evaluations=100, seed=4))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevonet.neural import (
-    ActivationKind, ConfusionCounts, ScgConfig, Topology, TrainedModel, _flatten,
-    _layer_sizes, _loss_and_grad, _scg_minimize, accuracy, balanced_accuracy,
-    balanced_error, confusion, init_weights, loss_only, mcc, predict, scg_train,
+    ActivationKind, ConfusionCounts, ScgConfig, Topology, TrainedModel, _CrossEntropy,
+    _flatten, _layer_sizes, _scg_minimize, accuracy, balanced_accuracy, balanced_error,
+    confusion, init_weights, mcc, predict, scg_train,
 )
 
 SIG = ActivationKind.SIGMOID
@@ -68,15 +69,15 @@ class TestGradient:
             sizes = _layer_sizes(topo, n_in)
             acts = tuple(a for _, a in topo.active_layers)
             theta = _flatten(init_weights(topo, n_in, seed=int(rng.integers(1e6))))
-            _, grad = _loss_and_grad(theta, sizes, acts, x, y1h)
+            objective = _CrossEntropy(sizes, acts, x, y1h)
+            grad = objective.gradient(objective.forward(theta)[1])
             h = 1e-6
             num = np.empty_like(theta)
             for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                num[i] = (loss_only(tp, sizes, acts, x, y1h)
-                          - loss_only(tm, sizes, acts, x, y1h)) / (2 * h)
+                num[i] = (objective.forward(tp)[0] - objective.forward(tm)[0]) / (2 * h)
             rel = np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12)
             assert rel < 1e-5
 
@@ -126,12 +127,36 @@ class TestScgTraining:
         y1h[:, 1] = y == 0
         theta0 = _flatten(init_weights(topo, 3, seed=11))
         trace = []
-        _scg_minimize(theta0,
-                      lambda t: loss_only(t, sizes, acts, x, y1h),
-                      lambda t: _loss_and_grad(t, sizes, acts, x, y1h)[1],
+        _scg_minimize(theta0, _CrossEntropy(sizes, acts, x, y1h),
                       ScgConfig(max_iter=120), trace=trace)
         assert len(trace) > 5
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    # sha256 of the trained parameter bytes, final loss and iterations, recorded
+    # before the trial point's forward pass was reused: the reuse keeps every bit
+    PINNED = {
+        "direct": ((), "9c69947868af602042bca4c0c793ed1a89a4b651dc3336ca3dc32199eede4225",
+                   0.2508221488297501, 15),
+        "sigmoid": (((6, SIG),),
+                    "f171c3ea78a8eade1213989a8aa1989a7f71028b970b80c48dfaf98cb64d83b4",
+                    0.005877422230568213, 80),
+        "sigmoid-tanh": (((5, SIG), (4, TANH)),
+                         "5b581c154406b97572dadb5fd533fa406c5feaf995b928e9c32c66dbb00d26b7",
+                         0.04078553350665388, 80),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_trained_bits_are_pinned(self, name):
+        layers, digest, final_loss, iterations = self.PINNED[name]
+        rng = np.random.default_rng(123)
+        x = rng.normal(size=(60, 4))
+        y = (x[:, 0] - 0.5 * x[:, 1] + 0.4 * rng.normal(size=60) > 0).astype(int)
+        model = scg_train(Topology(layers), x, y, ScgConfig(max_iter=80), seed=17)
+        raw = b"".join(np.ascontiguousarray(a).tobytes() for w, b in model.params for a in (w, b))
+        assert hashlib.sha256(raw).hexdigest() == digest
+        assert model.final_loss == final_loss
+        assert model.iterations == iterations
+        assert not model.aborted
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import chi2, norm, rankdata
 
-from coevonet.stats import FriedmanResult, StatsError, friedman_ranks, hommel_apv
+from coevonet.stats import (FriedmanResult, StatsError, average_ranks, chi2_sf,
+                            friedman_ranks, hommel_apv, normal_sf)
 
 
 def friedman_oracle(table, higher_is_better=True):
@@ -78,6 +79,41 @@ class TestFriedman:
             friedman_ranks(np.zeros((3, 1)))
         with pytest.raises(StatsError):
             friedman_ranks(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+def _tables():
+    """The tables of TestFriedman, then random ones rounded to provoke ties."""
+    yield np.column_stack([np.arange(10) + 1.0, np.arange(10)])
+    yield np.tile(np.arange(6.0)[:, None], (1, 4))
+    yield np.array([[0.1, 0.9], [0.2, 0.8]])
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n, k = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        yield rng.random((n, k)).round(1)
+
+
+class TestScipyParity:
+    """The numpy/math helpers agree with scipy, which the package does not import."""
+
+    def test_average_ranks(self):
+        for table in _tables():
+            for row in np.vstack([table, -table]):
+                assert np.abs(average_ranks(row) - rankdata(row, method="average")).max() <= 1e-12
+
+    def test_friedman_p_value(self):
+        for table in _tables():
+            for higher in (True, False):
+                res = friedman_ranks(table, higher_is_better=higher)
+                assert abs(res.p_value - chi2.sf(res.statistic, table.shape[1] - 1)) <= 1e-12
+
+    def test_chi2_sf_grid(self):
+        for df in range(1, 30):
+            for x in np.r_[0.0, 1e-9, np.linspace(0.01, 8.0 * df, 60), 500.0, 2000.0]:
+                assert abs(chi2_sf(float(x), df) - chi2.sf(x, df)) <= 1e-12, (x, df)
+
+    def test_normal_sf(self):
+        for z in np.r_[np.linspace(-9.0, 9.0, 721), 40.0, -40.0]:
+            assert abs(normal_sf(float(z)) - norm.sf(z)) <= 1e-12, z
 
 
 class TestHommel:
