@@ -323,6 +323,13 @@ class ScalarizedTracePoint:
     evaluations: int
     best_value: float
 
+    @staticmethod
+    def csv_header() -> list[str]:
+        return ["generation", "evaluations", "best_scalarized"]
+
+    def csv_row(self) -> list:
+        return [self.generation, self.evaluations, repr(float(self.best_value))]
+
 
 def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
                       ga_cfg: Nsga2Config) -> tuple[moea.ParetoArchive, list[ScalarizedTracePoint]]:

@@ -10,8 +10,12 @@ A typical desk-scale session on synthetic data:
 
 ``holdout-eval`` retrains the selection of a run of any ``--algo``: it
 rebuilds the run's evaluation problem from the settings in the merged
-archive's header, so a topology-only genome is decoded over the same reduced
-inputs it was searched on.
+archive's header, so a topology-only genome is retrained on the same reduced
+inputs it was searched on. ``select`` and ``export`` copy the architecture
+record that ``search`` wrote into every archive row, so ``export`` fills
+``n_features`` (the network's input count) and ``layers`` for every
+``--algo``; an archive written before rows carried that record must be
+searched again.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime failure. Deterministic
 artifacts embed the config hash and master seed; rerunning a subcommand with
@@ -35,7 +39,7 @@ import numpy as np
 from . import baselines, indicators, market_data, runner, synth
 from .baselines import BaselineError
 from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
-from .genome import GenomeError, SearchSpaceConfig, complexity_of, decode
+from .genome import GenomeError, SearchSpaceConfig, complexity_of
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
 from .neural import ScgConfig
@@ -143,6 +147,16 @@ def _merged_archive(run_dir):
     return runner.read_archive_jsonl(path)
 
 
+def _described_archive(run_dir):
+    """The merged archive, refused when a member row carries no architecture."""
+    archive, meta, architectures = _merged_archive(run_dir)
+    if None in architectures.values():
+        raise MarketDataError(
+            f"the merged archive under {run_dir} has rows without an architecture record "
+            "(written by an older coevonet); rerun `coevonet search`")
+    return archive, meta, architectures
+
+
 def _preference_from_args(args) -> tuple[PreferenceSpec, str]:
     if args.rank:
         pairs = dict(kv.split("=") for kv in args.rank.split(","))
@@ -156,12 +170,12 @@ def _preference_from_args(args) -> tuple[PreferenceSpec, str]:
 
 
 def cmd_select(args) -> int:
-    archive, meta = _merged_archive(args.run)
+    archive, meta, architectures = _described_archive(args.run)
     spec, name = _preference_from_args(args)
     record = runner.select_and_write(
-        archive, spec, name,
+        archive, architectures, spec, name,
         {"config_hash": meta.get("config_hash", ""), "master_seed": meta.get("master_seed", 0)},
-        out_dir=args.run, space=SearchSpaceConfig(),
+        out_dir=args.run,
     )
     print(f"select: preset {name} -> genome {record['genome'][:20]}..., "
           f"objectives {record['objectives']}")
@@ -273,8 +287,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export(args) -> int:
-    archive, meta = _merged_archive(args.run)
-    space = SearchSpaceConfig()
+    archive, meta, architectures = _described_archive(args.run)
     out = Path(args.out) if args.out else Path(args.run) / "front.csv"
     with out.open("w", newline="") as fh:
         fh.write(f"# config_hash={meta.get('config_hash', '')} "
@@ -282,13 +295,9 @@ def cmd_export(args) -> int:
         w = csv.writer(fh)
         w.writerow(["genome", "e_cv", "c", "e_pr", "n_features", "layers"])
         for bits, obj in archive.members():
-            if len(bits) == space.genome_length:
-                arch = decode(bits, space)
-                nf = len(arch.feature_indices)
-                layers = arch.topology.describe()
-            else:
-                nf, layers = "", ""
-            w.writerow([bits, repr(obj.e_cv), repr(obj.c), repr(obj.e_pr), nf, layers])
+            arch = architectures[bits]
+            w.writerow([bits, repr(obj.e_cv), repr(obj.c), repr(obj.e_pr),
+                        arch["n_inputs"], runner.record_topology(arch).describe()])
     print(f"export: {len(archive)} front rows -> {out}")
     return 0
 

@@ -86,20 +86,14 @@ class TournamentResult:
         }
 
 
-def _archive_rows(archive) -> list:
-    """(bits, objectives) pairs of a ``ParetoArchive`` or of a sequence of pairs."""
-    return archive.members() if hasattr(archive, "members") else list(archive)
-
-
-def mtd_select(archive, weights: np.ndarray) -> TournamentResult:
-    """Multi-criteria tournament over an archive (pairs of bits, objectives).
+def mtd_select(rows, weights: np.ndarray) -> TournamentResult:
+    """Multi-criteria tournament over an archive's (bits, objectives) pairs.
 
     Win counting is strict: ties award no win to either side. The best global
     rank wins; exact rank ties break on lowest e_cv, then lowest complexity,
     then genome string. A singleton archive returns its only member with rank
     1 by the documented degenerate-size rule.
     """
-    rows = _archive_rows(archive)
     if not rows:
         raise DecisionError("empty archive")
     weights = np.asarray(weights, dtype=float)
@@ -130,7 +124,8 @@ def mtd_select(archive, weights: np.ndarray) -> TournamentResult:
 
 
 def select_architecture(archive, spec: PreferenceSpec):
-    """Convenience wrapper: (selected bits, objectives, tournament audit)."""
-    result = mtd_select(archive, preference_weights(spec))
-    bits, obj = _archive_rows(archive)[result.selected_index]
+    """Tournament over a ``ParetoArchive``: (selected bits, objectives, audit)."""
+    rows = archive.members()
+    result = mtd_select(rows, preference_weights(spec))
+    bits, obj = rows[result.selected_index]
     return bits, obj, result

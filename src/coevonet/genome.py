@@ -56,12 +56,6 @@ class Architecture:
         if len(set(self.feature_indices)) != len(self.feature_indices):
             raise GenomeError("duplicate feature indices")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feature_indices": list(self.feature_indices),
-            "layers": [[s, ActivationKind(a).value] for s, a in self.topology.layers],
-        }
-
 
 def bits_to_string(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in bits)
@@ -158,8 +152,3 @@ def repair_feature_prefix(bits: np.ndarray, cfg: SearchSpaceConfig,
     if not bits[:cfg.n_features].any():
         bits[int(rng.integers(cfg.n_features))] = 1
     return bits
-
-
-def random_genome(cfg: SearchSpaceConfig, rng: np.random.Generator) -> np.ndarray:
-    bits = rng.integers(0, 2, size=cfg.genome_length, dtype=np.uint8)
-    return repair_feature_prefix(bits, cfg, rng)

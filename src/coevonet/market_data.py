@@ -97,23 +97,6 @@ class OhlcvSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def bar(self, i: int) -> OhlcvBar:
-        return OhlcvBar(
-            self.dates[i].astype(object),
-            float(self.open[i]),
-            float(self.high[i]),
-            float(self.low[i]),
-            float(self.close[i]),
-            float(self.volume[i]),
-        )
-
-    def truncated(self, n_bars: int) -> "OhlcvSeries":
-        """First ``n_bars`` bars as a new series (used by ex-ante checks)."""
-        return OhlcvSeries(
-            self.dates[:n_bars], self.open[:n_bars], self.high[:n_bars],
-            self.low[:n_bars], self.close[:n_bars], self.volume[:n_bars],
-        )
-
 
 _CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
@@ -392,13 +375,9 @@ class Standardizer:
         }
 
 
-def fit_standardizer(train: PatternSet) -> Standardizer:
-    return Standardizer().fit(train)
-
-
 def standardize_splits(splits: DatasetSplits) -> tuple[DatasetSplits, Standardizer]:
     """Fit on d_train only, transform all four splits (no leakage)."""
-    s = fit_standardizer(splits.d_train)
+    s = Standardizer().fit(splits.d_train)
     return (
         DatasetSplits(
             d_pr=s.apply(splits.d_pr),

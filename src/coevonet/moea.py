@@ -62,9 +62,6 @@ class ParetoArchive:
         return sorted(self._members.items(),
                       key=lambda kv: (kv[1].as_tuple(), kv[0]))
 
-    def objective_matrix(self) -> np.ndarray:
-        return _objective_rows([obj for _, obj in self.members()])
-
     def add(self, bits, objectives: ObjectiveVector) -> bool:
         bits_str = bits if isinstance(bits, str) else bits_to_string(bits)
         if bits_str in self._members:
@@ -78,9 +75,6 @@ class ParetoArchive:
             del self._members[k]
         self._members[bits_str] = objectives
         return True
-
-    def is_dominance_fixed_point(self) -> bool:
-        return not _dominance_matrix(self.objective_matrix()).any()
 
 
 def merge_archives(archives) -> ParetoArchive:
@@ -255,12 +249,18 @@ class GenerationStats:
                 *[repr(float(v)) for v in (*self.best, *self.mean, self.hypervolume)]]
 
 
-def write_generation_csv(path, stats: list[GenerationStats], preamble: str | None = None):
+def write_generation_csv(path, stats: list, preamble: str | None = None):
+    """Per-generation trace rows under the header of their own type.
+
+    ``stats`` holds ``GenerationStats`` or any rows with the same
+    ``csv_header``/``csv_row`` pair; an empty trace gets the
+    ``GenerationStats`` header.
+    """
     with open(path, "w", newline="") as fh:
         if preamble:
             fh.write(f"# {preamble}\n")
         w = csv.writer(fh)
-        w.writerow(GenerationStats.csv_header())
+        w.writerow((type(stats[0]) if stats else GenerationStats).csv_header())
         for s in stats:
             w.writerow(s.csv_row())
 

@@ -189,28 +189,6 @@ class TrainedModel:
             )
         return _forward(self.params, x, self.activations)[-1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "topology": [[s, ActivationKind(a).value] for s, a in self.topology.layers],
-            "feature_indices": list(self.feature_indices),
-            "weights": [
-                {"w_shape": list(w.shape), "w": w.ravel().tolist(), "b": b.tolist()}
-                for w, b in self.params
-            ],
-            "final_loss": self.final_loss,
-            "iterations": self.iterations,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainedModel":
-        topo = Topology(tuple((int(s), ActivationKind(a)) for s, a in d["topology"]))
-        params = [
-            (np.asarray(e["w"]).reshape(e["w_shape"]), np.asarray(e["b"], dtype=float))
-            for e in d["weights"]
-        ]
-        return cls(topo, tuple(d["feature_indices"]), params,
-                   d["final_loss"], d["iterations"])
-
 
 def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
                   trace: list | None = None):

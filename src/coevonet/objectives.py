@@ -106,6 +106,17 @@ class _EvaluationProblem:
     # subclasses define n_bits, repair(bits, rng) and decode(bits_str), which
     # returns (input columns or None for all, input count, topology)
 
+    def describe(self, bits_str: str) -> dict:
+        """The architecture record of a genome, as every artifact stores it.
+
+        ``feature_indices`` are catalog positions, or None when the inputs
+        were fixed a priori; ``n_inputs`` counts the network's inputs.
+        """
+        columns, n_inputs, topology = self.decode(bits_str)
+        return {"feature_indices": None if columns is None else list(columns),
+                "n_inputs": n_inputs,
+                "layers": [[size, act.value] for size, act in topology.layers]}
+
     def evaluate(self, bits) -> EvalRecord:
         bits_str = bits if isinstance(bits, str) else genome_mod.bits_to_string(bits)
         hit = self.cache.get(bits_str)
@@ -180,16 +191,8 @@ class TopologyOnlyProblem(_EvaluationProblem):
     """Topology bits only; the feature subset was fixed a priori.
 
     ``splits`` must already be restricted (or projected) to the fixed inputs;
-    complexity charges the fixed input count against the full-catalog size.
+    complexity charges their count against the full-catalog size.
     """
-
-    def __init__(self, splits: DatasetSplits, space: SearchSpaceConfig,
-                 cfg: EvalConfig, fixed_feature_count: int | None = None,
-                 trace_path=None):
-        super().__init__(splits, space, cfg, trace_path)
-        self.fixed_feature_count = (
-            splits.d_train.n_features if fixed_feature_count is None else fixed_feature_count
-        )
 
     @property
     def n_bits(self) -> int:
@@ -200,7 +203,7 @@ class TopologyOnlyProblem(_EvaluationProblem):
 
     def decode(self, bits_str: str):
         topology = decode_topology(genome_mod.string_to_bits(bits_str), self.space)
-        return None, self.fixed_feature_count, topology
+        return None, self.splits.d_train.n_features, topology
 
 
 def evaluate(genome_bits, splits: DatasetSplits, cfg: EvalConfig,

@@ -8,6 +8,13 @@ Artifact layout under an output directory:
     <out>/selected/<preset>.json            a-posteriori selection + audit
     <out>/holdout/<preset>.json             hold-out metrics of the selection
 
+Every archive row, selection and hold-out record carries an ``architecture``
+record, written once by the run's evaluation problem (``describe``):
+``feature_indices`` (catalog positions, null for a topology-only member whose
+inputs were fixed a priori), ``n_inputs`` and ``layers`` ([size, activation]
+per hidden-layer slot, size 0 inactive). Readers copy it and never read an
+architecture from the bits themselves.
+
 Every artifact embeds the config hash and master seed. Deterministic outputs
 contain no wall-clock values; timing lives in a sidecar ``timing.json``.
 """
@@ -25,10 +32,10 @@ import numpy as np
 
 from . import baselines, moea, neural
 from .decision import PreferenceSpec, preference_weights, select_architecture
-from .genome import SearchSpaceConfig, decode
+from .genome import SearchSpaceConfig
 from .market_data import DatasetSplits
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
-from .neural import ScgConfig, Topology
+from .neural import ActivationKind, ScgConfig, Topology
 from .objectives import (SCORE_NAMES, CoevolutionProblem, EvalConfig, ObjectiveVector,
                          TopologyOnlyProblem, split_scores)
 
@@ -42,24 +49,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def write_archive_jsonl(archive: ParetoArchive, path, meta: dict,
-                        space: SearchSpaceConfig | None = None) -> None:
+def write_archive_jsonl(archive: ParetoArchive, path, meta: dict, problem) -> None:
+    """Header row, then one row per member with the architecture ``problem`` describes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(json.dumps({"record": "header", **meta}, sort_keys=True) + "\n")
         for bits, obj in archive.members():
-            row = {"record": "member", "genome": bits,
-                   "e_cv": obj.e_cv, "c": obj.c, "e_pr": obj.e_pr}
-            if space is not None and len(bits) == space.genome_length:
-                arch = decode(bits, space)
-                row["architecture"] = arch.to_json_dict()
+            row = {"record": "member", "genome": bits, "e_cv": obj.e_cv, "c": obj.c,
+                   "e_pr": obj.e_pr, "architecture": problem.describe(bits)}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_archive_jsonl(path) -> tuple[ParetoArchive, dict]:
+def read_archive_jsonl(path) -> tuple[ParetoArchive, dict, dict]:
+    """(archive, header, architecture record by genome); a row without one maps to None."""
     archive = ParetoArchive()
     meta = {}
+    architectures = {}
     with Path(path).open() as fh:
         for line in fh:
             row = json.loads(line)
@@ -68,7 +74,8 @@ def read_archive_jsonl(path) -> tuple[ParetoArchive, dict]:
             else:
                 archive.add(row["genome"],
                             ObjectiveVector(row["e_cv"], row["c"], row["e_pr"]))
-    return archive, meta
+                architectures[row["genome"]] = row.get("architecture")
+    return archive, meta, architectures
 
 
 @dataclass
@@ -134,17 +141,6 @@ def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
     return archive, stats, problem
 
 
-def _write_trace_csv(path, stats, preamble: str) -> None:
-    if stats and isinstance(stats[0], baselines.ScalarizedTracePoint):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {preamble}\n")
-            fh.write("generation,evaluations,best_scalarized\n")
-            for p in stats:
-                fh.write(f"{p.generation},{p.evaluations},{p.best_value!r}\n")
-    else:
-        moea.write_generation_csv(path, stats, preamble=preamble)
-
-
 def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
                         settings: SearchSettings, out_dir=None) -> tuple[ParetoArchive, dict]:
     """Run seeds master_seed+1 .. master_seed+runs and merge the archives."""
@@ -167,19 +163,22 @@ def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
             seed_dir = out / settings.algorithm / f"seed-{run}"
             seed_dir.mkdir(parents=True, exist_ok=True)
             write_archive_jsonl(archive, seed_dir / "archive.jsonl",
-                                {**meta, "run_seed": run_seed}, space=space)
+                                {**meta, "run_seed": run_seed}, problem)
             preamble = (f"config_hash={cfg_hash} master_seed={settings.master_seed} "
                         f"run_seed={run_seed}")
-            _write_trace_csv(seed_dir / "generations.csv", stats, preamble)
+            moea.write_generation_csv(seed_dir / "generations.csv", stats, preamble)
     merged = merge_archives(per_run)
     if out is not None:
-        write_archive_jsonl(merged, out / "merged" / "archive.jsonl", meta, space=space)
+        # a genome's architecture does not depend on the run seed, so the last
+        # run's problem describes the union
+        write_archive_jsonl(merged, out / "merged" / "archive.jsonl", meta, problem)
         (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True))
     return merged, meta
 
 
-def select_and_write(archive: ParetoArchive, spec: PreferenceSpec, preset_name: str,
-                     meta: dict, out_dir=None, space: SearchSpaceConfig | None = None) -> dict:
+def select_and_write(archive: ParetoArchive, architectures: dict, spec: PreferenceSpec,
+                     preset_name: str, meta: dict, out_dir=None) -> dict:
+    """Select from ``archive``; the record copies the chosen row's architecture."""
     bits, obj, result = select_architecture(archive, spec)
     record = {
         **meta,
@@ -190,14 +189,18 @@ def select_and_write(archive: ParetoArchive, spec: PreferenceSpec, preset_name: 
         "genome": bits,
         "objectives": {"e_cv": obj.e_cv, "c": obj.c, "e_pr": obj.e_pr},
         "tournament": result.to_json_dict(),
+        "architecture": architectures[bits],
     }
-    if space is not None and len(bits) == space.genome_length:
-        record["architecture"] = decode(bits, space).to_json_dict()
     if out_dir is not None:
         sel_dir = Path(out_dir) / "selected"
         sel_dir.mkdir(parents=True, exist_ok=True)
         (sel_dir / f"{preset_name}.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     return record
+
+
+def record_topology(architecture: dict) -> Topology:
+    """The hidden topology of an ``architecture`` record."""
+    return Topology(tuple((size, ActivationKind(act)) for size, act in architecture["layers"]))
 
 
 def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits,
@@ -213,12 +216,13 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
     """Retrain the selected architecture at final quality; report hold-out metrics.
 
     ``problem`` is the run's evaluation problem (see ``make_problem``): it
-    decodes the genome and holds the splits the search trained on; a
+    describes the genome and holds the splits the search trained on; a
     topology-only architecture reads every reduced input (``feature_indices``
     null). With cycles > 1 the metrics are means over independently seeded
     trainings.
     """
-    columns, _, topology = problem.decode(bits)
+    architecture = problem.describe(bits)
+    columns, topology = architecture["feature_indices"], record_topology(architecture)
     hold = problem.splits.open_holdout()
     scores = []
     for k in range(cycles):
@@ -226,8 +230,7 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
         scores.append(split_scores(model, hold, columns))
     return {
         "genome": bits,
-        "architecture": {"feature_indices": columns,
-                         "layers": [[s, a.value] for s, a in topology.layers]},
+        "architecture": architecture,
         "cycles": cycles,
         **{name: float(np.mean(values)) for name, values in zip(SCORE_NAMES, zip(*scores))},
     }

@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
+from coevonet import moea
 from coevonet.market_data import DatasetSplits, OhlcvSeries, PatternSet, SplitSpec
-from coevonet.objectives import EvalRecord, ObjectiveVector
+from coevonet.objectives import CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector
+
+
+#: ``search`` flags of a tiny two-run search per --algo; topology-only under
+#: both a-priori reductions.
+TINY_SEARCHES = {
+    name: [*flags, "--fe", "6", "--population", "4", "--cycles", "1", "--scg-iters", "10",
+           "--runs", "2"]
+    for name, flags in {
+        "nsga2": ["--algo", "nsga2"],
+        "eagd": ["--algo", "eagd"],
+        "scalarized": ["--algo", "scalarized"],
+        "random": ["--algo", "random"],
+        "topology-only-mrmr": ["--algo", "topology-only", "--reduction", "mrmr",
+                               "--reduction-k", "5"],
+        "topology-only-pca": ["--algo", "topology-only", "--reduction", "pca"],
+    }.items()
+}
 
 
 def random_walk_series(n_bars, seed, start="2017-01-02", vol=0.012):
@@ -18,6 +36,27 @@ def random_walk_series(n_bars, seed, start="2017-01-02", vol=0.012):
     days = np.arange(np.datetime64(start), np.datetime64(start) + 2 * n_bars)
     days = days[(days.astype("datetime64[D]").astype(int) - 4) % 7 < 5][:n_bars]
     return OhlcvSeries(days, opens, highs, lows, closes, volumes)
+
+
+def truncated(series, n_bars):
+    """The first ``n_bars`` bars of ``series`` as a new series."""
+    return OhlcvSeries(series.dates[:n_bars], series.open[:n_bars], series.high[:n_bars],
+                       series.low[:n_bars], series.close[:n_bars], series.volume[:n_bars])
+
+
+def random_genome(space, rng):
+    """A uniform co-evolution genome, drawn and repaired as the engines draw one."""
+    return moea._random_genome(CoevolutionProblem(None, space, EvalConfig()), rng)
+
+
+def objective_matrix(archive):
+    """(n, 3) objective rows of an archive's members, in member order."""
+    return np.array([obj.as_tuple() for _, obj in archive.members()]).reshape(-1, 3)
+
+
+def is_dominance_fixed_point(archive):
+    """No member of the archive dominates another."""
+    return not moea._dominance_matrix(objective_matrix(archive)).any()
 
 
 def make_planted_splits(n_features=8, n_informative=1, n_train=120, n_other=80,

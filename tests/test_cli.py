@@ -1,14 +1,19 @@
 """The documented CLI session, run in-process on synthetic data."""
 
+import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from coevonet import cli
+from conftest import TINY_SEARCHES
+from coevonet import baselines, cli, market_data
+from coevonet.genome import complexity_of
+from coevonet.neural import Topology
 
 
 def _session(root: Path) -> None:
@@ -111,6 +116,74 @@ def test_topology_only_selection_scores_on_the_holdout(sessions, tmp_path):
     record = json.loads((tmp_path / "holdout" / "O2.json").read_text())
     assert len(record["genome"]) == 16
     assert 0.0 <= record["balanced_error"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def algo_runs(sessions, tmp_path_factory):
+    data = str(sessions[0] / "data")
+    root = tmp_path_factory.mktemp("algos")
+    for name, flags in TINY_SEARCHES.items():
+        run = str(root / name)
+        steps = [
+            ["search", "--data", data, *flags, "--out", run],
+            ["select", "--run", run, "--preset", "O2"],
+            ["holdout-eval", "--data", data, "--run", run, "--preset", "O2",
+             "--scg-iters", "10"],
+            ["export", "--run", run],
+        ]
+        for argv in steps:
+            assert cli.main(argv) == 0, (name, argv[0])
+    return root
+
+
+def _jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _topology(arch: dict) -> Topology:
+    return Topology(tuple(tuple(layer) for layer in arch["layers"]))
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SEARCHES))
+def test_every_artifact_describes_the_scored_architecture(sessions, algo_runs, name):
+    run = algo_runs / name
+    members = {row["genome"]: row for row in _jsonl(run / "merged" / "archive.jsonl")
+               if row["record"] == "member"}
+    if name.startswith("topology-only"):
+        splits, _ = market_data.load_splits(sessions[0] / "data" / "splits")
+        width = baselines.fit_reduction(name.rsplit("-", 1)[1], splits.d_train, 5).n_retained
+    for row in members.values():
+        arch = row["architecture"]
+        assert complexity_of(arch["n_inputs"], _topology(arch)) == row["c"]
+        if name.startswith("topology-only"):
+            assert arch["feature_indices"] is None and arch["n_inputs"] == width
+        else:
+            assert arch["n_inputs"] == len(arch["feature_indices"])
+    selected = json.loads((run / "selected" / "O2.json").read_text())
+    holdout = json.loads((run / "holdout" / "O2.json").read_text())
+    for record in (selected, holdout):
+        assert record["architecture"] == members[record["genome"]]["architecture"]
+    with (run / "front.csv").open(newline="") as fh:
+        front = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {r["genome"] for r in front} == set(members)
+    for r in front:
+        arch = members[r["genome"]]["architecture"]
+        assert int(r["n_features"]) == arch["n_inputs"]
+        assert r["layers"] == _topology(arch).describe()
+
+
+def test_archive_without_architecture_asks_for_a_new_search(algo_runs, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(algo_runs / "nsga2", run)
+    merged = run / "merged" / "archive.jsonl"
+    rows = _jsonl(merged)
+    for row in rows:
+        row.pop("architecture", None)
+    merged.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    for argv in (["select", "--run", str(run), "--preset", "O1"], ["export", "--run", str(run)]):
+        assert cli.main(argv) == 1, argv[0]
+        assert "rerun `coevonet search`" in capsys.readouterr().err
+    assert not (run / "selected" / "O1.json").exists()
 
 
 def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):

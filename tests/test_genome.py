@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_genome
 from coevonet.genome import (
     Architecture, GenomeError, SearchSpaceConfig, bits_to_string, complexity,
-    complexity_of, decode, decode_layer_block, encode, random_genome,
-    repair_feature_prefix, string_to_bits,
+    complexity_of, decode, decode_layer_block, encode, repair_feature_prefix, string_to_bits,
 )
 from coevonet.neural import ActivationKind, Topology
 

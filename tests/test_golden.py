@@ -1,18 +1,25 @@
-"""Fixed-seed engine outputs against values recorded before the engines shared one skeleton.
+"""Fixed-seed engine and CLI outputs against values recorded by earlier code.
 
 ``golden_engines.json`` holds, per run, the archive members (genome and
 objectives) and the per-generation statistics, or for the scalarized GA its
 best genome, best value and trace. The values are compared exactly: a change
 in RNG draw order, tie-breaking or the budget check shows up here even when
-two runs of the new code still agree with each other.
+two runs of the new code still agree with each other. ``CLI_ARCHIVE_DIGESTS``
+does the same for a small real run: ``ingest`` of 300 synthetic bars, then a
+two-run ``search`` of every ``--algo``, pinned by a digest of the merged
+archive's genomes and objectives.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import MockProblem, make_planted_splits
+from conftest import TINY_SEARCHES, MockProblem, make_planted_splits
 from coevonet.baselines import scalarized_search
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import EagdConfig, Nsga2Config, eagd_run, nsga2_run, random_search_run
@@ -66,3 +73,57 @@ def test_scalarized_matches_recorded_run():
     assert best_bits == expected["best_bits"]
     assert trace[-1].best_value == expected["best_value"]
     assert [[t.generation, t.evaluations, t.best_value] for t in trace] == expected["trace"]
+
+
+# ---------------------------------------------------------------------------
+# a small real run through the CLI
+# ---------------------------------------------------------------------------
+
+#: sha256 of the merged archive's (genome, e_cv, c, e_pr) rows, recorded before
+#: archive rows carried their architecture.
+CLI_ARCHIVE_DIGESTS = {
+    "nsga2": "be0a63e3e634e88c9c4c0c0d17f571c6df36afc6141f4d179333e07662854e69",
+    "eagd": "e827ee6f4de1e064946c80c8f636958737f6caba4e315ed5efbfe050d890dfa3",
+    "scalarized": "659bc1826adc6ab8933cb52083e43bbadb0cd997904dfbba0036802adc5dd79b",
+    "random": "68e55d7f8aae8a31fb5c4359b5594105f9b8a4866c09c2d0bc4a1e9294113829",
+    "topology-only-mrmr": "a141316d04d981c8e82ea91bf809729e5b629da450f0325a86bf094595f3b2e8",
+    "topology-only-pca": "2e36bb42fec4f3e7a5c25e8ad83905e1152aac545a312b0856fcb395eb294e1c",
+}
+
+# The search runs in one subprocess at one BLAS thread: the thread count
+# changes the last bits of matrix products, and with them the archive.
+_CLI_SCRIPT = """
+import json, sys
+from coevonet import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"step failed: {argv}")
+"""
+
+
+def _member_digest(path: Path) -> str:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    members = [[r["genome"], r["e_cv"], r["c"], r["e_pr"]]
+               for r in rows if r.get("record") != "header"]
+    return hashlib.sha256(json.dumps(members).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-cli")
+    data = root / "data"
+    steps = [["ingest", "--synthetic", "--seed", "7", "--bars", "300", "--out", str(data)]]
+    for name, flags in TINY_SEARCHES.items():
+        steps.append(["search", "--data", str(data), *flags, "--out", str(root / name)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps(steps)], env=env,
+                   check=True)
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SEARCHES))
+def test_cli_archive_matches_recorded_run(cli_runs, name):
+    digest = _member_digest(cli_runs / name / "merged" / "archive.jsonl")
+    assert digest == CLI_ARCHIVE_DIGESTS[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_walk_series
+from conftest import random_walk_series, truncated
 from coevonet.indicators import (
     IndicatorError, IndicatorId, catalog_index, catalog_to_json, compute_column,
     compute_feature, compute_matrix, default_catalog,
@@ -175,7 +175,7 @@ class TestMatrix:
     def test_appending_bars_never_changes_earlier_rows(self):
         s = random_walk_series(120, seed=37)
         full = compute_matrix(s)
-        part = compute_matrix(s.truncated(100))
+        part = compute_matrix(truncated(s, 100))
         assert np.array_equal(full[:part.shape[0]], part)
 
     def test_matrix_matches_per_feature_calls(self):
@@ -191,7 +191,7 @@ class TestMatrix:
         with pytest.raises(IndicatorError):
             compute_feature(s, IndicatorId("ma", (5,)), 39)
         with pytest.raises(IndicatorError):
-            compute_matrix(s.truncated(30))
+            compute_matrix(truncated(s, 30))
 
     def test_unknown_family(self):
         s = random_walk_series(50, seed=47)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from datetime import date
 
-from conftest import random_walk_series
+from conftest import random_walk_series, truncated
 from coevonet import indicators
 from coevonet.market_data import (
     DatasetSplits, HoldoutAccessError, MarketDataError, OhlcvSeries, PatternSet,
-    SplitSpec, Standardizer, build_patterns, fit_standardizer, load_ohlcv_csv,
+    SplitSpec, Standardizer, build_patterns, load_ohlcv_csv,
     load_splits, save_splits, split_by_dates, standardize_splits,
 )
 
@@ -26,8 +26,8 @@ class TestLoadCsv:
         ])
         s = load_ohlcv_csv(p)
         assert len(s) == 3
-        assert s.bar(0).day == date(2020, 1, 1)
-        assert s.bar(2).close == 11
+        assert s.dates[0].astype(object) == date(2020, 1, 1)
+        assert s.close[2] == 11
 
     def test_rows_out_of_order_get_sorted(self, tmp_path):
         p = write_csv(tmp_path, [
@@ -109,7 +109,7 @@ class TestBuildPatterns:
     def test_ex_ante_truncation_invariance(self):
         s = random_walk_series(90, seed=7)
         full = build_patterns(s)
-        trunc = build_patterns(s.truncated(70))
+        trunc = build_patterns(truncated(s, 70))
         # patterns dated before the truncation point are bit-identical
         assert np.array_equal(full.features[:trunc.n], trunc.features)
         assert np.array_equal(full.labels[:trunc.n], trunc.labels)
@@ -161,7 +161,7 @@ class TestStandardizer:
     def test_hand_computed_column(self):
         ps = PatternSet(np.array([[1.0], [2.0], [3.0]]), [0, 1, 0],
                         np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-04")))
-        s = fit_standardizer(ps)
+        s = Standardizer().fit(ps)
         out = s.apply(ps)
         assert np.allclose(out.features[:, 0], [-1.0, 0.0, 1.0])
 
@@ -169,7 +169,7 @@ class TestStandardizer:
         x = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
         ps = PatternSet(x, [0, 1, 0, 1, 0],
                         np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-06")))
-        s = fit_standardizer(ps)
+        s = Standardizer().fit(ps)
         assert s.constant_columns == (0,)
         out = s.apply(ps)
         assert np.allclose(out.features[:, 0], 7.0)

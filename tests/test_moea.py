@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import MockProblem
+from conftest import MockProblem, is_dominance_fixed_point, objective_matrix
 from coevonet.moea import (
     EagdConfig, GenerationStats, Nsga2Config, ParetoArchive, bitflip_mutation,
     crowding_distance, crowding_tournament, dominates, eagd_run,
@@ -184,7 +184,7 @@ class TestArchive:
         archive = ParetoArchive()
         for i, row in enumerate(rng.random((200, 3))):
             archive.add(format(i, "08b"), ObjectiveVector(*row))
-        assert archive.is_dominance_fixed_point()
+        assert is_dominance_fixed_point(archive)
 
     def test_insertion_never_shrinks_hypervolume(self):
         rng = np.random.default_rng(8)
@@ -193,7 +193,7 @@ class TestArchive:
         prev = 0.0
         for i, row in enumerate(rng.random((120, 3))):
             archive.add(format(i, "08b"), ObjectiveVector(*row))
-            hv = hypervolume(archive.objective_matrix(), ref)
+            hv = hypervolume(objective_matrix(archive), ref)
             assert hv >= prev - 1e-12
             prev = hv
 
@@ -249,7 +249,7 @@ class TestEngines:
         problem = MockProblem()
         archive, stats = nsga2_run(problem, Nsga2Config(population=20,
                                                         max_evaluations=400, seed=2))
-        assert archive.is_dominance_fixed_point()
+        assert is_dominance_fixed_point(archive)
         best = np.array([g.best for g in stats])
         assert np.all(np.diff(best, axis=0) <= 1e-12)
 
@@ -261,8 +261,8 @@ class TestEngines:
             archive, _ = nsga2_run(p1, Nsga2Config(population=12,
                                                    max_evaluations=100, seed=seed))
             random_archive = random_search_run(p2, 100, seed)
-            hv_a = hypervolume(archive.objective_matrix(), ref)
-            hv_r = hypervolume(random_archive.objective_matrix(), ref)
+            hv_a = hypervolume(objective_matrix(archive), ref)
+            hv_r = hypervolume(objective_matrix(random_archive), ref)
             if hv_a >= hv_r:
                 wins += 1
         assert wins >= 18
@@ -283,7 +283,7 @@ class TestEngines:
         a2, _ = eagd_run(p2, cfg)
         assert a1.members() == a2.members()
         assert p1.fe_count <= 150
-        assert a1.is_dominance_fixed_point()
+        assert is_dominance_fixed_point(a1)
 
     @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0),
                                      dict(crossover_rate=1.5), dict(neighborhood_fraction=-0.1),

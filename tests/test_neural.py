@@ -186,14 +186,6 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, np.zeros((3, 2)))
 
-    def test_model_json_round_trip(self):
-        topo = Topology(((3, SIG),))
-        x = np.random.default_rng(1).normal(size=(12, 2))
-        y = np.array([0, 1] * 6)
-        model = scg_train(topo, x, y, ScgConfig(max_iter=30), seed=2)
-        clone = TrainedModel.from_json_dict(model.to_json_dict())
-        assert np.array_equal(predict(clone, x), predict(model, x))
-
 
 class TestMetrics:
     def test_worked_example(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_planted_splits
-from coevonet import neural
+from coevonet import moea, neural
 from coevonet.genome import SearchSpaceConfig, bits_to_string, encode, Architecture
 from coevonet.neural import ActivationKind, ScgConfig, Topology
 from coevonet.objectives import (
@@ -48,9 +48,8 @@ class TestEvaluate:
         cfg = EvalConfig(cycles=2, scg=FAST, master_seed=5)
         problem = CoevolutionProblem(splits, SPACE, cfg)
         rng = np.random.default_rng(0)
-        from coevonet.genome import random_genome
         for _ in range(5):
-            rec = problem.evaluate(random_genome(SPACE, rng))
+            rec = problem.evaluate(moea._random_genome(problem, rng))
             for v in rec.objectives.as_tuple():
                 assert 0.0 <= v <= 1.0
 
@@ -123,7 +122,7 @@ class TestEvaluate:
 class TestTopologyOnly:
     def test_sixteen_bit_genomes(self, splits):
         cfg = EvalConfig(cycles=1, scg=FAST, master_seed=1)
-        problem = TopologyOnlyProblem(splits, SPACE, cfg, fixed_feature_count=8)
+        problem = TopologyOnlyProblem(splits, SPACE, cfg)
         assert problem.n_bits == 16
         rec = problem.evaluate("0010010" + "1" + "0000000" + "0")
         # feature term frozen at d/n_f

@@ -2,12 +2,11 @@ import json
 
 import pytest
 
-from conftest import make_planted_splits
+from conftest import is_dominance_fixed_point, make_planted_splits
 from coevonet import baselines, runner
 from coevonet.genome import SearchSpaceConfig
-from coevonet.moea import ParetoArchive, merge_archives
+from coevonet.moea import merge_archives
 from coevonet.neural import ScgConfig
-from coevonet.objectives import ObjectiveVector
 
 SPACE = SearchSpaceConfig(n_features=8)
 
@@ -23,22 +22,22 @@ def _settings(algorithm, **overrides):
     return runner.SearchSettings(**{**base, **overrides})
 
 
-def test_archive_jsonl_round_trip(tmp_path):
-    archive = ParetoArchive()
-    archive.add("01", ObjectiveVector(0.1, 0.3, 0.2))
-    archive.add("10", ObjectiveVector(0.3, 0.1, 0.2))
-    path = tmp_path / "a" / "archive.jsonl"
-    runner.write_archive_jsonl(archive, path, {"config_hash": "abc"})
-    loaded, meta = runner.read_archive_jsonl(path)
-    assert loaded.members() == archive.members()
-    assert meta["config_hash"] == "abc" and meta["record"] == "header"
+def test_archive_jsonl_round_trip(splits, tmp_path):
+    for algorithm in ("nsga2", "topology-only"):
+        archive, _, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
+        path = tmp_path / algorithm / "archive.jsonl"
+        runner.write_archive_jsonl(archive, path, {"config_hash": "abc"}, problem)
+        loaded, meta, architectures = runner.read_archive_jsonl(path)
+        assert loaded.members() == archive.members()
+        assert meta["config_hash"] == "abc" and meta["record"] == "header"
+        assert architectures == {bits: problem.describe(bits) for bits, _ in archive.members()}
 
 
 @pytest.mark.parametrize("algorithm", runner.ALGORITHMS)
 def test_every_algorithm_runs_within_budget(splits, algorithm):
     archive, stats, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
     assert len(archive) >= 1
-    assert archive.is_dominance_fixed_point()
+    assert is_dominance_fixed_point(archive)
     assert problem.fe_count <= 10
     if algorithm != "random":
         assert stats[0].evaluations <= stats[-1].evaluations == problem.fe_count
