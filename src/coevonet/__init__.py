@@ -5,7 +5,19 @@ subsets and feed-forward topologies as a tri-objective problem (test-regime
 balanced error, architectural complexity, earlier-regime balanced error) and
 selects one non-dominated architecture a posteriori from a decision maker's
 preference ranking.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where the caller left them unset: a genome's
+training cycles already run side by side, and the BLAS thread count changes
+the last bits of matrix products, so fixed-seed results are reproduced at
+the default. The variables act only if numpy has not been imported yet.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

@@ -19,9 +19,11 @@ searched again.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime failure. Deterministic
 artifacts embed the config hash and master seed; rerunning a subcommand with
-an identical config reproduces them byte for byte, at a fixed BLAS thread
-count (e.g. ``OPENBLAS_NUM_THREADS=1``): the thread count changes the last
-bits of matrix products, and with them which genomes a search keeps.
+an identical config reproduces them byte for byte. ``import coevonet`` runs
+BLAS on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` says otherwise (another count may change the last bits
+of matrix products); a genome's training cycles use the cores instead, and
+the artifacts do not depend on how many there are.
 """
 
 from __future__ import annotations

@@ -13,6 +13,12 @@ An accepted SCG iteration costs 2 forward and 2 backward passes: one of each
 for the curvature probe at ``theta + sigma·p``, one forward pass at the trial
 point ``theta + alpha·p``, and one backward pass from that same forward pass
 once the step is accepted. A rejected iteration costs 1 forward pass.
+
+A training allocates its per-layer activation and backward-delta arrays
+once: every pass writes into them, with the same operations in the same
+order as the allocating path that ``TrainedModel.scores`` uses, so results
+are bit-identical. The buffers belong to one training, so trainings can run
+on several threads at once.
 """
 
 from __future__ import annotations
@@ -104,25 +110,38 @@ def _unflatten(theta: np.ndarray, sizes: list[int]) -> list[tuple[np.ndarray, np
     return params
 
 
-def _activate(z: np.ndarray, kind: ActivationKind) -> np.ndarray:
+def _activate(z: np.ndarray, kind: ActivationKind) -> None:
+    """Apply the activation to ``z`` in place."""
     if kind == ActivationKind.TANH:
-        return np.tanh(z)
-    return 1.0 / (1.0 + np.exp(-z))
+        np.tanh(z, out=z)
+        return
+    np.negative(z, out=z)       # 1 / (1 + exp(-z))
+    np.exp(z, out=z)
+    np.add(z, 1.0, out=z)
+    np.divide(1.0, z, out=z)
 
 
-def _activate_grad(a: np.ndarray, kind: ActivationKind) -> np.ndarray:
+def _scale_by_activation_grad(delta: np.ndarray, a: np.ndarray, kind: ActivationKind,
+                              scratch: np.ndarray) -> None:
+    """``delta *= f'(a)`` for activations ``a``, with ``scratch`` holding f'(a)."""
     if kind == ActivationKind.TANH:
-        return 1.0 - a * a
-    return a * (1.0 - a)
+        np.multiply(a, a, out=scratch)          # 1 - a*a
+        np.subtract(1.0, scratch, out=scratch)
+    else:
+        np.subtract(1.0, a, out=scratch)        # a * (1 - a)
+        np.multiply(a, scratch, out=scratch)
+    delta *= scratch
 
 
-def _forward(params, x: np.ndarray, activations) -> list[np.ndarray]:
+def _forward(params, x: np.ndarray, activations, buffers=None) -> list[np.ndarray]:
+    """Outputs of every layer, input first; written into ``buffers`` when given."""
     outputs = [x]
-    a = x
     for i, (w, b) in enumerate(params):
-        z = a @ w + b
-        a = _activate(z, activations[i]) if i < len(activations) else z
-        outputs.append(a)
+        z = np.matmul(outputs[-1], w, out=None if buffers is None else buffers[i])
+        z += b
+        if i < len(activations):
+            _activate(z, activations[i])
+        outputs.append(z)
     return outputs
 
 
@@ -136,7 +155,9 @@ class _CrossEntropy:
 
     ``forward`` returns the loss and the pass that produced it, so that a
     caller who later needs the gradient at the same point backpropagates from
-    the kept activations instead of running the forward pass again.
+    the kept activations instead of running the forward pass again. A pass
+    lives in buffers that the next ``forward`` overwrites: it is valid until
+    then.
     """
 
     def __init__(self, sizes, activations, x, y_onehot):
@@ -144,10 +165,14 @@ class _CrossEntropy:
         self.activations = activations
         self.x = x
         self.y_onehot = y_onehot
+        n = x.shape[0]
+        self._outputs = [np.empty((n, size)) for size in sizes[1:]]
+        self._deltas = [np.empty((n, size)) for size in sizes[1:-1]]
+        self._scratch = [np.empty((n, size)) for size in sizes[1:-1]]
 
     def forward(self, theta):
         params = _unflatten(theta, self.sizes)
-        outs = _forward(params, self.x, self.activations)
+        outs = _forward(params, self.x, self.activations, self._outputs)
         log_p = _log_softmax(outs[-1])
         loss = -float((self.y_onehot * log_p).sum()) / self.x.shape[0]
         return loss, (theta, params, outs, log_p)
@@ -163,7 +188,9 @@ class _CrossEntropy:
             np.matmul(outs[i].T, delta, out=grad_w)
             delta.sum(axis=0, out=grad_b)
             if i > 0:
-                delta = (delta @ params[i][0].T) * _activate_grad(outs[i], self.activations[i - 1])
+                delta = np.matmul(delta, params[i][0].T, out=self._deltas[i - 1])
+                _scale_by_activation_grad(delta, outs[i], self.activations[i - 1],
+                                          self._scratch[i - 1])
         return grad
 
 

@@ -7,6 +7,13 @@ balanced error on the earlier-regime window. Weight estimation repeats over
 cycle k of genome g is seeded by hash(master_seed, bits, k), so re-evaluation
 is reproducible and results can be cached by bitstring.
 
+The cycles of one genome train side by side on a module-wide thread pool
+with one worker per usable core (numpy releases the GIL in its kernels);
+a single cycle trains on the calling thread. Rows are collected in cycle
+order and each cycle's seed depends only on (master seed, bits, k), so a
+record does not depend on the core count. The cache, the FE count and the
+trace log stay on the caller's thread.
+
 The scalarized single-objective variant combines overall test error and
 complexity under preference weights plus a 5x epsilon-constraint penalty on
 test/pre-regime correlation (MCC) and pre-regime error.
@@ -14,10 +21,13 @@ test/pre-regime correlation (MCC) and pre-regime error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +100,16 @@ def split_scores(model, patterns: PatternSet, columns) -> tuple[float, float, fl
     return neural.accuracy(c), neural.mcc(c), neural.balanced_error(c)
 
 
+@functools.cache
+def _cycle_pool() -> ThreadPoolExecutor:
+    """The pool that trains a genome's cycles: one thread per usable core."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="coevonet-cycle")
+
+
 class _EvaluationProblem:
     """Shared machinery: bitstring cache, FE accounting, cycle loop, trace log."""
 
@@ -136,17 +156,19 @@ class _EvaluationProblem:
         c = genome_mod.complexity_of(n_selected, topology, self.space)
         train = self.splits.d_train
         x_train = train.features[:, columns] if columns is not None else train.features
-        rows = []   # per cycle: split_scores on d_test, then on d_pr
-        for k in range(1, self.cfg.cycles + 1):
+
+        def one_cycle(k):   # split_scores on d_test, then on d_pr
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
             model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
                                k, bits_str[:16])
-                rows.append(_ABORTED_CYCLE)
-                continue
-            rows.append(split_scores(model, self.splits.d_test, columns)
-                        + split_scores(model, self.splits.d_pr, columns))
+                return _ABORTED_CYCLE
+            return (split_scores(model, self.splits.d_test, columns)
+                    + split_scores(model, self.splits.d_pr, columns))
+
+        cycles = range(1, self.cfg.cycles + 1)
+        rows = map(one_cycle, cycles) if len(cycles) == 1 else _cycle_pool().map(one_cycle, cycles)
         accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
         return EvalRecord(
             objectives=ObjectiveVector(

@@ -219,8 +219,10 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
     describes the genome and holds the splits the search trained on; a
     topology-only architecture reads every reduced input (``feature_indices``
     null). With cycles > 1 the metrics are means over independently seeded
-    trainings.
+    trainings; ``cycles`` below 1 is a ``ValueError``.
     """
+    if cycles < 1:
+        raise ValueError(f"holdout cycles must be >= 1, got {cycles}")
     architecture = problem.describe(bits)
     columns, topology = architecture["feature_indices"], record_topology(architecture)
     hold = problem.splits.open_holdout()

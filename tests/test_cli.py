@@ -186,6 +186,13 @@ def test_archive_without_architecture_asks_for_a_new_search(algo_runs, tmp_path,
     assert not (run / "selected" / "O1.json").exists()
 
 
+def test_holdout_eval_cycles_0_exits_1(sessions, capsys):
+    root = sessions[0]
+    assert cli.main(["holdout-eval", "--data", str(root / "data"), "--run", str(root / "run"),
+                     "--preset", "O2", "--cycles", "0"]) == 1
+    assert "cycles must be >= 1" in capsys.readouterr().err
+
+
 def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):
     assert cli.main(["search", "--data", str(sessions[0] / "data"), "--algo", "eagd",
                      "--population", "0", "--fe", "5", "--runs", "1",

@@ -6,8 +6,8 @@ best genome, best value and trace. The values are compared exactly: a change
 in RNG draw order, tie-breaking or the budget check shows up here even when
 two runs of the new code still agree with each other. ``CLI_ARCHIVE_DIGESTS``
 does the same for a small real run: ``ingest`` of 300 synthetic bars, then a
-two-run ``search`` of every ``--algo``, pinned by a digest of the merged
-archive's genomes and objectives.
+two-run ``search`` of every ``--algo`` (and of NSGA-II at two cycles), pinned
+by a digest of the merged archive's genomes and objectives.
 """
 
 import hashlib
@@ -79,10 +79,17 @@ def test_scalarized_matches_recorded_run():
 # a small real run through the CLI
 # ---------------------------------------------------------------------------
 
+#: ``search`` flags of the pinned CLI runs: every --algo, and NSGA-II with two
+#: cycles, whose trainings run side by side.
+GOLDEN_SEARCHES = {**TINY_SEARCHES,
+                   "nsga2-cycles2": [*TINY_SEARCHES["nsga2"], "--cycles", "2"]}
+
 #: sha256 of the merged archive's (genome, e_cv, c, e_pr) rows, recorded before
-#: archive rows carried their architecture.
+#: archive rows carried their architecture (``nsga2-cycles2``: before a
+#: genome's cycles trained concurrently).
 CLI_ARCHIVE_DIGESTS = {
     "nsga2": "be0a63e3e634e88c9c4c0c0d17f571c6df36afc6141f4d179333e07662854e69",
+    "nsga2-cycles2": "ee17c9fcf46e204ee05f991ae6c3b6cdcad86ff11b2d967a9e8537cc2bc89890",
     "eagd": "e827ee6f4de1e064946c80c8f636958737f6caba4e315ed5efbfe050d890dfa3",
     "scalarized": "659bc1826adc6ab8933cb52083e43bbadb0cd997904dfbba0036802adc5dd79b",
     "random": "68e55d7f8aae8a31fb5c4359b5594105f9b8a4866c09c2d0bc4a1e9294113829",
@@ -90,8 +97,11 @@ CLI_ARCHIVE_DIGESTS = {
     "topology-only-pca": "2e36bb42fec4f3e7a5c25e8ad83905e1152aac545a312b0856fcb395eb294e1c",
 }
 
-# The search runs in one subprocess at one BLAS thread: the thread count
-# changes the last bits of matrix products, and with them the archive.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The steps run in one subprocess, so that the BLAS variables in its
+# environment act before numpy loads: the thread count changes the last bits
+# of matrix products, and with them the archive.
 _CLI_SCRIPT = """
 import json, sys
 from coevonet import cli
@@ -99,6 +109,25 @@ for argv in json.loads(sys.argv[1]):
     if cli.main(argv) != 0:
         sys.exit(f"step failed: {argv}")
 """
+
+
+def _env(**blas) -> dict:
+    """This environment with ``src`` importable, the BLAS variables replaced by ``blas``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return {**env, **blas}
+
+
+def _run_searches(root: Path, names, env) -> None:
+    data = root / "data"
+    steps = [["ingest", "--synthetic", "--seed", "7", "--bars", "300", "--out", str(data)]]
+    for name in names:
+        steps.append(["search", "--data", str(data), *GOLDEN_SEARCHES[name],
+                      "--out", str(root / name)])
+    subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps(steps)], env=env,
+                   check=True)
 
 
 def _member_digest(path: Path) -> str:
@@ -111,19 +140,30 @@ def _member_digest(path: Path) -> str:
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-cli")
-    data = root / "data"
-    steps = [["ingest", "--synthetic", "--seed", "7", "--bars", "300", "--out", str(data)]]
-    for name, flags in TINY_SEARCHES.items():
-        steps.append(["search", "--data", str(data), *flags, "--out", str(root / name)])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps(steps)], env=env,
-                   check=True)
+    _run_searches(root, GOLDEN_SEARCHES, _env(OPENBLAS_NUM_THREADS="1"))
     return root
 
 
-@pytest.mark.parametrize("name", sorted(TINY_SEARCHES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCHES))
 def test_cli_archive_matches_recorded_run(cli_runs, name):
     digest = _member_digest(cli_runs / name / "merged" / "archive.jsonl")
     assert digest == CLI_ARCHIVE_DIGESTS[name]
+
+
+def test_cli_archive_matches_with_blas_variables_unset(tmp_path):
+    # ``import coevonet`` sets one BLAS thread itself
+    _run_searches(tmp_path, ["nsga2-cycles2"], _env())
+    digest = _member_digest(tmp_path / "nsga2-cycles2" / "merged" / "archive.jsonl")
+    assert digest == CLI_ARCHIVE_DIGESTS["nsga2-cycles2"]
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ("1", "1", "1")),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ("3", "1", "1")),
+])
+def test_import_sets_only_unset_blas_variables(preset, expected):
+    probe = ("import json, os, coevonet; "
+             f"print(json.dumps([os.environ[v] for v in {BLAS_THREAD_VARS!r}]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_env(**preset),
+                          capture_output=True, text=True, check=True)
+    assert tuple(json.loads(done.stdout)) == expected

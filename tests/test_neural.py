@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ class TestScgTraining:
         assert model.final_loss == final_loss
         assert model.iterations == iterations
         assert not model.aborted
+
+    def test_passes_reuse_the_training_buffers(self):
+        # a pass that allocated its layers would raise the peak by whole n x 71
+        # arrays; the buffers come with the objective, made before tracing
+        def peak_bytes(n):
+            rng = np.random.default_rng(8)
+            x = rng.normal(size=(n, 34))
+            y1h = np.zeros((n, 2))
+            y1h[np.arange(n), rng.integers(0, 2, size=n)] = 1.0
+            topo = Topology(((71, TANH), (39, SIG)))
+            objective = _CrossEntropy(_layer_sizes(topo, 34), (TANH, SIG), x, y1h)
+            theta0 = _flatten(init_weights(topo, 34, seed=4))
+            tracemalloc.start()
+            try:
+                _scg_minimize(theta0, objective, ScgConfig(max_iter=20))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak_bytes(2310) - peak_bytes(231)
+        assert growth < (2310 - 231) * 71 * 8
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):

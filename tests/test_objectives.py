@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from coevonet.genome import SearchSpaceConfig, bits_to_string, encode, Architect
 from coevonet.neural import ActivationKind, ScgConfig, Topology
 from coevonet.objectives import (
     CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector, ScalarizedConfig,
-    TopologyOnlyProblem, cycle_seed, evaluate, penalty, scalarized_value,
+    TopologyOnlyProblem, cycle_seed, evaluate, penalty, scalarized_value, split_scores,
 )
 
 TANH = ActivationKind.TANH
@@ -117,6 +121,81 @@ class TestEvaluate:
         entry = json.loads(trace.read_text().splitlines()[0])
         assert set(entry) == {"genome", "objectives", "cycle_errors_test",
                               "cycle_errors_pr", "wall_time"}
+
+
+class TestConcurrentCycles:
+    """A genome's cycles train side by side; records match a serial loop."""
+
+    def test_three_cycle_record_equals_serial_cycles(self, splits):
+        columns, topology = [0, 2, 5], Topology(((4, TANH), (3, ActivationKind.SIGMOID)))
+        bits = genome_for(columns, topology.layers)
+        cfg = EvalConfig(cycles=3, scg=FAST, master_seed=9)
+        rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(bits)
+        rows = []
+        for k in (1, 2, 3):
+            model = neural.scg_train(topology, splits.d_train.features[:, columns],
+                                     splits.d_train.labels, FAST, cycle_seed(9, bits, k))
+            rows.append(split_scores(model, splits.d_test, columns)
+                        + split_scores(model, splits.d_pr, columns))
+        accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
+        assert rec == EvalRecord(
+            objectives=ObjectiveVector(float(np.mean(errs_test)), rec.objectives.c,
+                                       float(np.mean(errs_pr))),
+            cycle_errors_test=errs_test,
+            cycle_errors_pr=errs_pr,
+            test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
+            pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
+            test_mcc=float(np.mean(mccs_test)),
+            pr_mcc=float(np.mean(mccs_pr)),
+        )
+
+    def counting_trainer(self, monkeypatch):
+        threads = []   # the thread of every training, appended from any thread
+        train = neural.scg_train
+
+        def counted(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "scg_train", counted)
+        return threads
+
+    def test_one_training_per_cycle_and_none_for_cache_hits(self, splits, monkeypatch):
+        threads = self.counting_trainer(monkeypatch)
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=3, scg=FAST))
+        genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
+        for bits in genomes + genomes:
+            problem.evaluate(bits)
+        assert len(threads) == 3 * len(genomes)
+        assert (problem.fe_count, problem.cache_hits) == (2, 2)
+
+    def test_single_cycle_trains_on_the_calling_thread(self, splits, monkeypatch):
+        threads = self.counting_trainer(monkeypatch)
+        CoevolutionProblem(splits, SPACE, EvalConfig(cycles=1, scg=FAST)).evaluate(
+            genome_for([0, 1], [(3, TANH)]))
+        assert threads == [threading.get_ident()]
+
+    def test_concurrent_trainings_equal_their_serial_twins(self, splits):
+        # same shapes on purpose: buffers shared by shape would mix the runs
+        x, y = splits.d_train.features, splits.d_train.labels
+        jobs = [(Topology(((6, TANH), (4, ActivationKind.SIGMOID))), seed) for seed in (1, 2, 3)]
+        jobs.append((Topology(((5, ActivationKind.SIGMOID),)), 4))
+
+        def train(job):
+            return neural.scg_train(job[0], x, y, ScgConfig(max_iter=60), job[1])
+
+        serial = [train(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # more workers than cores, switching often
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                concurrent = list(pool.map(train, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, concurrent):
+            assert (a.final_loss, a.iterations) == (b.final_loss, b.iterations)
+            for (wa, ba), (wb, bb) in zip(a.params, b.params):
+                assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
 
 class TestTopologyOnly:
