@@ -7,10 +7,11 @@ selects one non-dominated architecture a posteriori from a decision maker's
 preference ranking.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` to 1 where the caller left them unset: a genome's
-training cycles already run side by side, and the BLAS thread count changes
-the last bits of matrix products, so fixed-seed results are reproduced at
-the default. The variables act only if numpy has not been imported yet.
+``MKL_NUM_THREADS`` to 1 where the caller left them unset: a multi-cycle
+search already trains on every core, one worker process per core, and the
+BLAS thread count changes the last bits of matrix products, so fixed-seed
+results are reproduced at the default. The variables act only if numpy has
+not been imported yet; forked workers inherit them with the loaded numpy.
 """
 
 import os

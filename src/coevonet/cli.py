@@ -22,8 +22,15 @@ artifacts embed the config hash and master seed; rerunning a subcommand with
 an identical config reproduces them byte for byte. ``import coevonet`` runs
 BLAS on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` says otherwise (another count may change the last bits
-of matrix products); a genome's training cycles use the cores instead, and
-the artifacts do not depend on how many there are.
+of matrix products); a ``search`` with ``--cycles`` above 1 uses the cores
+instead. It forks one training worker per usable core when it starts, trains
+a whole batch of candidates' cycles on them and joins them before it exits;
+the artifacts do not depend on how many there are. A one-cycle ``search``,
+``holdout-eval`` and ``baseline`` train in their own process. An error in a
+worker fails the step as it would inline (exit 2).
+
+``ingest`` prints each split's up days (label 1) and their share, and warns
+when a split holds one class only.
 """
 
 from __future__ import annotations
@@ -116,6 +123,13 @@ def cmd_ingest(args) -> int:
     (out / "catalog.json").write_text(indicators.catalog_to_json())
     print(f"ingest: {standardized.counts} patterns -> {out / 'splits'} "
           f"(config_hash={cfg_hash})")
+    balance = market_data.label_balance(standardized)
+    print("ingest: up days " + ", ".join(f"{name} {up}/{n} ({up / n:.0%})"
+                                         for name, (up, n) in balance.items()))
+    for name, (up, n) in balance.items():
+        if up in (0, n):
+            logger.warning("split %s holds one class only (%d up days of %d patterns): "
+                           "its balanced error scores that class alone", name, up, n)
     return 0
 
 

@@ -393,6 +393,12 @@ def standardize_splits(splits: DatasetSplits) -> tuple[DatasetSplits, Standardiz
 _SPLIT_FILES = {"pr": "pr.csv", "train": "train.csv", "test": "test.csv", "hold": "hold.csv"}
 
 
+def label_balance(splits: DatasetSplits) -> dict[str, tuple[int, int]]:
+    """(up days, patterns) of every split, the sealed hold-out included."""
+    return {name: (int(ps._labels.sum()), ps.n)
+            for name, ps in ((name, getattr(splits, f"d_{name}")) for name in _SPLIT_FILES)}
+
+
 def save_splits(splits: DatasetSplits, out_dir, standardizer: Standardizer | None = None,
                 extra_manifest: dict | None = None) -> Path:
     """Write the four splits as CSV plus a JSON manifest."""

@@ -282,18 +282,25 @@ def _snapshot(gen: int, problem, objs: np.ndarray, fronts) -> GenerationStats:
 def _evaluate_batch(problem, batch, cap):
     """Evaluate genomes until the FE cap would be exceeded; cache hits are free.
 
-    This is the only budget check of the engines: it returns the evaluated
-    (bits string, record) pairs and whether the cap stopped the batch.
+    This is the only budget check of the engines. It first fixes the prefix
+    of ``batch`` that fits the budget and hands that prefix's fresh genomes
+    to ``problem.start`` at once, then evaluates the prefix in order. It
+    returns the evaluated (bits string, record) pairs and whether the cap
+    stopped the batch.
     """
-    out = []
+    accepted = []
+    fresh = {}      # an ordered set: a repeat within the batch is a cache hit
     exhausted = False
     for bits in batch:
         bits_str = bits_to_string(bits)
-        if bits_str not in problem.cache and problem.fe_count >= cap:
-            exhausted = True
-            break
-        out.append((bits_str, problem.evaluate(bits_str)))
-    return out, exhausted
+        if bits_str not in problem.cache and bits_str not in fresh:
+            if problem.fe_count + len(fresh) >= cap:
+                exhausted = True
+                break
+            fresh[bits_str] = None
+        accepted.append(bits_str)
+    problem.start(list(fresh))
+    return [(bits_str, problem.evaluate(bits_str)) for bits_str in accepted], exhausted
 
 
 def _random_genome(problem, rng: np.random.Generator) -> np.ndarray:

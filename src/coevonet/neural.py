@@ -19,6 +19,14 @@ once: every pass writes into them, with the same operations in the same
 order as the allocating path that ``TrainedModel.scores`` uses, so results
 are bit-identical. The buffers belong to one training, so trainings can run
 on several threads at once.
+
+``scg_train`` always runs in the caller's process. On a thread that
+``train_in_processes`` gave a process pool, only the minimization
+(``_minimize``) runs in a worker process of that pool: the thread sends the
+initial weights and the patterns, waits, and builds the model from the
+returned weights. A worker forked from the caller computes the same bits,
+and an exception raised there, a warning turned into an error included,
+surfaces from ``scg_train``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +125,8 @@ def _activate(z: np.ndarray, kind: ActivationKind) -> None:
         np.tanh(z, out=z)
         return
     np.negative(z, out=z)       # 1 / (1 + exp(-z))
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):    # exp(-z) = inf gives 1 / inf = 0.0, the limit
+        np.exp(z, out=z)
     np.add(z, 1.0, out=z)
     np.divide(1.0, z, out=z)
 
@@ -297,6 +307,25 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
     return theta, f, iters, False
 
 
+def _minimize(theta0, sizes, activations, x, y_onehot, cfg: ScgConfig):
+    """``_scg_minimize`` of the cross-entropy on these patterns; picklable for a worker."""
+    return _scg_minimize(theta0, _CrossEntropy(sizes, activations, x, y_onehot), cfg)
+
+
+#: Per thread: the process pool that runs the minimization of this thread's
+#: ``scg_train`` calls. A thread without one trains inline.
+_thread = threading.local()
+
+
+def train_in_processes(pool) -> None:
+    """Run the minimization of this thread's later ``scg_train`` calls on ``pool``.
+
+    ``pool`` is a ``concurrent.futures`` executor of worker processes; this
+    is the initializer of the threads that wait on them.
+    """
+    _thread.processes = pool
+
+
 def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
               cfg: ScgConfig, seed: int,
               feature_indices: tuple[int, ...] | None = None) -> TrainedModel:
@@ -309,9 +338,10 @@ def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
     y_onehot = np.zeros((len(y), N_CLASSES))
     y_onehot[:, 0] = y == 1
     y_onehot[:, 1] = y == 0
-    theta0 = _flatten(init_weights(topology, n_inputs, seed))
-    objective = _CrossEntropy(sizes, activations, x, y_onehot)
-    theta, loss, iters, aborted = _scg_minimize(theta0, objective, cfg)
+    job = (_flatten(init_weights(topology, n_inputs, seed)), sizes, activations, x, y_onehot, cfg)
+    processes = getattr(_thread, "processes", None)
+    theta, loss, iters, aborted = (_minimize(*job) if processes is None
+                                   else processes.submit(_minimize, *job).result())
     if aborted:
         logger.warning("SCG aborted on non-finite loss (topology %s)", topology.describe())
     return TrainedModel(

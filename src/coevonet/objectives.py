@@ -7,12 +7,17 @@ balanced error on the earlier-regime window. Weight estimation repeats over
 cycle k of genome g is seeded by hash(master_seed, bits, k), so re-evaluation
 is reproducible and results can be cached by bitstring.
 
-The cycles of one genome train side by side on a module-wide thread pool
-with one worker per usable core (numpy releases the GIL in its kernels);
-a single cycle trains on the calling thread. Rows are collected in cycle
-order and each cycle's seed depends only on (master seed, bits, k), so a
-record does not depend on the core count. The cache, the FE count and the
-trace log stay on the caller's thread.
+A problem given ``TrainingWorkers`` trains in worker processes: ``start``
+hands it a batch of genomes and queues every cycle of every fresh one at
+once; a waiting thread takes each cycle, calls ``neural.scg_train`` (whose
+minimization runs in a worker) and scores the model in this process.
+``evaluate`` still runs once per genome, in the caller's order, on the
+caller's thread: it waits for the genome's cycles, so the cache, the FE
+count and the trace log behave as without workers. A problem without
+workers trains each cycle on the calling thread when ``evaluate`` reaches
+it. Rows are collected in cycle order and each cycle's seed depends only on
+(master seed, bits, k), so a record does not depend on the workers or the
+core count.
 
 The scalarized single-objective variant combines overall test error and
 complexity under preference weights plus a 5x epsilon-constraint penalty on
@@ -21,11 +26,13 @@ test/pre-regime correlation (MCC) and pre-regime error.
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import hashlib
 import json
 import logging
 import os
+import signal
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,21 +107,103 @@ def split_scores(model, patterns: PatternSet, columns) -> tuple[float, float, fl
     return neural.accuracy(c), neural.mcc(c), neural.balanced_error(c)
 
 
-@functools.cache
-def _cycle_pool() -> ThreadPoolExecutor:
-    """The pool that trains a genome's cycles: one thread per usable core."""
+def usable_cores() -> int:
+    """The cores this process may run on."""
     try:
-        workers = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="coevonet-cycle")
+        return os.cpu_count() or 1
+
+
+_PR_SET_PDEATHSIG = 1     # from <linux/prctl.h>
+
+
+def _end_with_parent(parent_pid: int) -> None:
+    """Worker initializer: on Linux, the worker is killed when its parent ends.
+
+    A step killed before it could join its workers would otherwise leave
+    them waiting for work forever.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0 or os.getppid() != parent_pid:
+        os._exit(1)     # could not tie this worker to its parent, or the parent is gone
+
+
+class TrainingWorkers:
+    """Worker processes that train cycles, and the threads that wait on them.
+
+    Creating it forks one process per usable core, before any thread exists
+    to wait on one; a forked worker inherits the loaded program, its data
+    and the caller's warning filters. Its threads call ``neural.scg_train``
+    with the workers set by ``neural.train_in_processes``, so the process
+    that owns them still makes every ``scg_train`` call. ``close`` (or
+    leaving the ``with`` block) cancels what has not started and joins every
+    process and thread. On Linux a worker also ends when the thread that
+    created this object does, so create it on the thread that uses it.
+    """
+
+    def __init__(self):
+        # imported here: they add ~16 ms and 2 MB to every step that forks no worker
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        cores = usable_cores()
+        self._processes = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
+                                              initializer=_end_with_parent,
+                                              initargs=(os.getpid(),))
+        try:
+            self._processes.submit(int).result()    # a fork pool forks every worker at once
+        except BaseException:
+            self._processes.shutdown()
+            raise
+        # two waiting threads per worker keep a next training queued
+        self._waiters = ThreadPoolExecutor(2 * cores, thread_name_prefix="coevonet-train",
+                                           initializer=neural.train_in_processes,
+                                           initargs=(self._processes,))
+
+    def submit(self, fn, *args):
+        """Run ``fn(*args)`` on a waiting thread; returns its future."""
+        return self._waiters.submit(fn, *args)
+
+    def close(self) -> None:
+        # drop queued cycles first, so that no waiting thread sends one after
+        # the processes are gone
+        self._waiters.shutdown(wait=False, cancel_futures=True)
+        self._processes.shutdown(cancel_futures=True)
+        self._waiters.shutdown()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _record(c: float, rows) -> EvalRecord:
+    """The record of a genome of complexity ``c`` from its per-cycle score rows."""
+    accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
+    return EvalRecord(
+        objectives=ObjectiveVector(
+            e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
+        ),
+        cycle_errors_test=errs_test,
+        cycle_errors_pr=errs_pr,
+        test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
+        pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
+        test_mcc=float(np.mean(mccs_test)),
+        pr_mcc=float(np.mean(mccs_pr)),
+    )
 
 
 class _EvaluationProblem:
     """Shared machinery: bitstring cache, FE accounting, cycle loop, trace log."""
 
     def __init__(self, splits: DatasetSplits, space: SearchSpaceConfig,
-                 cfg: EvalConfig, trace_path=None):
+                 cfg: EvalConfig, trace_path=None, workers: TrainingWorkers | None = None):
         self.splits = splits
         self.space = space
         self.cfg = cfg
@@ -122,6 +211,8 @@ class _EvaluationProblem:
         self.fe_count = 0
         self.cache_hits = 0
         self._trace_path = trace_path
+        self._workers = workers
+        self._started: dict[str, tuple] = {}    # bits -> (complexity, futures of cycle rows)
 
     # subclasses define n_bits, repair(bits, rng) and decode(bits_str), which
     # returns (input columns or None for all, input count, topology)
@@ -137,6 +228,19 @@ class _EvaluationProblem:
                 "n_inputs": n_inputs,
                 "layers": [[size, act.value] for size, act in topology.layers]}
 
+    def start(self, genomes) -> None:
+        """Queue every cycle of the fresh genomes among ``genomes`` (bit strings) on the workers.
+
+        A problem without workers trains when ``evaluate`` reaches a genome.
+        """
+        if self._workers is None:
+            return
+        for bits_str in genomes:
+            if bits_str not in self.cache and bits_str not in self._started:
+                c, one_cycle = self._cycle_trainer(bits_str)
+                self._started[bits_str] = c, [self._workers.submit(one_cycle, k)
+                                              for k in range(1, self.cfg.cycles + 1)]
+
     def evaluate(self, bits) -> EvalRecord:
         bits_str = bits if isinstance(bits, str) else genome_mod.bits_to_string(bits)
         hit = self.cache.get(bits_str)
@@ -144,20 +248,31 @@ class _EvaluationProblem:
             self.cache_hits += 1
             return hit
         started = time.perf_counter()
-        record = self._evaluate_fresh(bits_str)
+        self.start([bits_str])
+        if bits_str in self._started:
+            c, futures = self._started.pop(bits_str)
+            rows = [f.result() for f in futures]
+        else:
+            c, one_cycle = self._cycle_trainer(bits_str)
+            rows = [one_cycle(k) for k in range(1, self.cfg.cycles + 1)]
+        record = _record(c, rows)
         self.fe_count += 1
         self.cache[bits_str] = record
         if self._trace_path is not None:
             self._append_trace(bits_str, record, time.perf_counter() - started)
         return record
 
-    def _evaluate_fresh(self, bits_str: str) -> EvalRecord:
+    def _cycle_trainer(self, bits_str: str):
+        """The genome's complexity, and the function that trains and scores its cycle k.
+
+        A cycle's row is ``split_scores`` on d_test, then on d_pr.
+        """
         columns, n_selected, topology = self.decode(bits_str)
         c = genome_mod.complexity_of(n_selected, topology, self.space)
         train = self.splits.d_train
         x_train = train.features[:, columns] if columns is not None else train.features
 
-        def one_cycle(k):   # split_scores on d_test, then on d_pr
+        def one_cycle(k):
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
             model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
             if model.aborted:
@@ -167,20 +282,7 @@ class _EvaluationProblem:
             return (split_scores(model, self.splits.d_test, columns)
                     + split_scores(model, self.splits.d_pr, columns))
 
-        cycles = range(1, self.cfg.cycles + 1)
-        rows = map(one_cycle, cycles) if len(cycles) == 1 else _cycle_pool().map(one_cycle, cycles)
-        accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
-        return EvalRecord(
-            objectives=ObjectiveVector(
-                e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
-            ),
-            cycle_errors_test=errs_test,
-            cycle_errors_pr=errs_pr,
-            test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
-            pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
-            test_mcc=float(np.mean(mccs_test)),
-            pr_mcc=float(np.mean(mccs_pr)),
-        )
+        return c, one_cycle
 
     def _append_trace(self, bits_str, record, wall_time):
         entry = {

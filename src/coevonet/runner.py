@@ -21,6 +21,7 @@ contain no wall-clock values; timing lives in a sidecar ``timing.json``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -37,7 +38,7 @@ from .market_data import DatasetSplits
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
 from .neural import ActivationKind, ScgConfig, Topology
 from .objectives import (SCORE_NAMES, CoevolutionProblem, EvalConfig, ObjectiveVector,
-                         TopologyOnlyProblem, split_scores)
+                         TopologyOnlyProblem, TrainingWorkers, split_scores)
 
 logger = logging.getLogger(__name__)
 
@@ -106,26 +107,29 @@ class SearchSettings:
 
 
 def make_problem(splits: DatasetSplits, space: SearchSpaceConfig,
-                 settings: SearchSettings, run_seed: int):
+                 settings: SearchSettings, run_seed: int,
+                 workers: TrainingWorkers | None = None):
     """The evaluation problem of one run, the one owner of what its genomes mean.
 
     Topology-only runs fit the a-priori reduction on the training split and
     search topologies over the reduced splits; every other algorithm searches
-    the full co-evolution genome.
+    the full co-evolution genome. ``workers``, when given, train its cycles.
     """
     cfg = EvalConfig(cycles=settings.cycles, scg=ScgConfig(max_iter=settings.scg_max_iter),
                      master_seed=run_seed)
     if settings.algorithm == "topology-only":
         reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
                                             settings.reduction_k)
-        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction), space, cfg)
-    return CoevolutionProblem(splits, space, cfg)
+        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction), space, cfg,
+                                   workers=workers)
+    return CoevolutionProblem(splits, space, cfg, workers=workers)
 
 
 def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
-                    settings: SearchSettings, run_seed: int):
+                    settings: SearchSettings, run_seed: int,
+                    workers: TrainingWorkers | None = None):
     """One search run; returns (archive, generation stats, problem)."""
-    problem = make_problem(splits, space, settings, run_seed)
+    problem = make_problem(splits, space, settings, run_seed, workers)
     engine = dict(population=settings.population,
                   max_evaluations=settings.max_evaluations, seed=run_seed)
     algo = settings.algorithm
@@ -143,30 +147,36 @@ def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
 
 def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
                         settings: SearchSettings, out_dir=None) -> tuple[ParetoArchive, dict]:
-    """Run seeds master_seed+1 .. master_seed+runs and merge the archives."""
+    """Run seeds master_seed+1 .. master_seed+runs and merge the archives.
+
+    With more than one cycle, the runs share one ``TrainingWorkers``, forked
+    before the first run and joined after the last; a single cycle trains
+    inline, where a worker's round trip would cost more than it saves.
+    """
     cfg_hash = config_hash(settings.to_dict())
     meta = {"config_hash": cfg_hash, "master_seed": settings.master_seed,
             "algorithm": settings.algorithm, "settings": settings.to_dict()}
     out = Path(out_dir) if out_dir is not None else None
     per_run = []
     timing = {}
-    for run in range(1, settings.runs + 1):
-        run_seed = settings.master_seed + run
-        started = time.perf_counter()
-        archive, stats, problem = run_single_seed(splits, space, settings, run_seed)
-        timing[f"seed-{run}"] = time.perf_counter() - started
-        per_run.append(archive)
-        logger.info("%s seed %d: archive %d, FE %d (+%d cached)",
-                    settings.algorithm, run, len(archive), problem.fe_count,
-                    problem.cache_hits)
-        if out is not None:
-            seed_dir = out / settings.algorithm / f"seed-{run}"
-            seed_dir.mkdir(parents=True, exist_ok=True)
-            write_archive_jsonl(archive, seed_dir / "archive.jsonl",
-                                {**meta, "run_seed": run_seed}, problem)
-            preamble = (f"config_hash={cfg_hash} master_seed={settings.master_seed} "
-                        f"run_seed={run_seed}")
-            moea.write_generation_csv(seed_dir / "generations.csv", stats, preamble)
+    with TrainingWorkers() if settings.cycles > 1 else contextlib.nullcontext() as workers:
+        for run in range(1, settings.runs + 1):
+            run_seed = settings.master_seed + run
+            started = time.perf_counter()
+            archive, stats, problem = run_single_seed(splits, space, settings, run_seed, workers)
+            timing[f"seed-{run}"] = time.perf_counter() - started
+            per_run.append(archive)
+            logger.info("%s seed %d: archive %d, FE %d (+%d cached)",
+                        settings.algorithm, run, len(archive), problem.fe_count,
+                        problem.cache_hits)
+            if out is not None:
+                seed_dir = out / settings.algorithm / f"seed-{run}"
+                seed_dir.mkdir(parents=True, exist_ok=True)
+                write_archive_jsonl(archive, seed_dir / "archive.jsonl",
+                                    {**meta, "run_seed": run_seed}, problem)
+                preamble = (f"config_hash={cfg_hash} master_seed={settings.master_seed} "
+                            f"run_seed={run_seed}")
+                moea.write_generation_csv(seed_dir / "generations.csv", stats, preamble)
     merged = merge_archives(per_run)
     if out is not None:
         # a genome's architecture does not depend on the run seed, so the last

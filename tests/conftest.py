@@ -108,6 +108,9 @@ class MockProblem:
     def repair(self, bits, rng):
         return bits
 
+    def start(self, genomes):
+        pass        # evaluation is instant: nothing to queue
+
     def evaluate(self, bits):
         from coevonet.genome import bits_to_string
         bits_str = bits if isinstance(bits, str) else bits_to_string(bits)

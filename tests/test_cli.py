@@ -2,18 +2,23 @@
 
 import csv
 import json
+import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import TINY_SEARCHES
-from coevonet import baselines, cli, market_data
+from conftest import TINY_SEARCHES, random_walk_series
+from coevonet import baselines, cli, market_data, synth
 from coevonet.genome import complexity_of
 from coevonet.neural import Topology
+from coevonet.objectives import usable_cores
 
 
 def _session(root: Path) -> None:
@@ -211,6 +216,116 @@ def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path
     assert "--boundaries" in err and "splits/manifest.json" in err
 
 
+def test_ingest_reports_label_balance_and_warns_on_one_class(tmp_path, capsys, caplog):
+    walk = random_walk_series(1300, 3, start="2016-06-01")
+    rising = 100.0 * np.exp(0.002 * np.arange(len(walk)))   # every next close is higher
+    series = market_data.OhlcvSeries(walk.dates, rising * 0.999, rising * 1.003,
+                                     rising * 0.997, rising, walk.volume)
+    synth.save_series_csv(series, tmp_path / "rising.csv")
+    with caplog.at_level(logging.WARNING, logger="coevonet.cli"):
+        assert cli.main(["ingest", "--csv", str(tmp_path / "rising.csv"),
+                         "--out", str(tmp_path / "data")]) == 0
+    counts = json.loads((tmp_path / "data" / "splits" / "manifest.json").read_text())["counts"]
+    shown = ", ".join(f"{name} {counts[name]}/{counts[name]} (100%)"
+                      for name in ("pr", "train", "test", "hold"))
+    assert f"ingest: up days {shown}\n" in capsys.readouterr().out
+    warned = [r.getMessage() for r in caplog.records if "one class only" in r.getMessage()]
+    assert [m.split()[1] for m in warned] == ["pr", "train", "test", "hold"]
+
+
+def test_ingest_balance_of_the_synthetic_data(tmp_path, capsys):
+    assert cli.main(["ingest", "--synthetic", "--seed", "7", "--bars", "700",
+                     "--out", str(tmp_path)]) == 0
+    assert ("ingest: up days pr 127/250 (51%), train 94/231 (41%), test 8/89 (9%), "
+            "hold 30/89 (34%)") in capsys.readouterr().out
+
+
+def test_only_a_multi_cycle_search_forks_training_workers(sessions, tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    data, run = str(sessions[0] / "data"), tmp_path / "run"
+    shutil.copytree(sessions[0] / "run", run)
+    search = ["search", "--data", data, "--algo", "nsga2", "--fe", "4", "--population", "2",
+              "--scg-iters", "5", "--runs", "2"]
+    single_cycle_steps = [
+        [*search, "--cycles", "1", "--out", str(tmp_path / "one")],
+        ["holdout-eval", "--data", data, "--run", str(run), "--preset", "O2",
+         "--cycles", "2", "--scg-iters", "5"],
+        ["baseline", "--data", data, "--method", "mrmr", "--k", "5", "--scg-iters", "5",
+         "--out", str(tmp_path / "base")],
+    ]
+    for argv in single_cycle_steps:
+        assert cli.main(argv) == 0, argv[0]
+    assert forks == []
+    assert cli.main([*search, "--cycles", "2", "--out", str(tmp_path / "two")]) == 0
+    assert forks == [os.getpid()] * usable_cores()     # once per step, not per run
+
+
+def _search_in_new_session(data, out, fe, scg_iters):
+    """A two-cycle ``coevonet search`` leading a process group of its own."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "coevonet.cli", "search", "--data", str(data), "--algo", "nsga2",
+         "--fe", str(fe), "--population", "4", "--cycles", "2", "--scg-iters", str(scg_iters),
+         "--runs", "2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, start_new_session=True)
+
+
+def _group_is_gone(pgid, timeout):
+    """Whether the process group empties within ``timeout`` seconds; if not, kill it."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            os.killpg(pgid, signal.SIGKILL)
+            return False
+        time.sleep(0.05)
+
+
+def test_multi_cycle_search_leaves_no_process_behind(sessions, tmp_path):
+    with _search_in_new_session(sessions[0] / "data", tmp_path / "run", fe=6,
+                                scg_iters=5) as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert _group_is_gone(proc.pid, timeout=0)     # every worker was joined
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers end with their "
+                    "parent on Linux only")
+def test_workers_of_a_killed_search_end_with_it(sessions, tmp_path):
+    def group_size(pgid):
+        size = 0
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                size += int(stat.read_text().rsplit(")", 1)[1].split()[2]) == pgid
+            except (OSError, IndexError, ValueError):
+                pass        # the process ended while being read
+        return size
+
+    with _search_in_new_session(sessions[0] / "data", tmp_path / "run", fe=200,
+                                scg_iters=200) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while group_size(proc.pid) < 1 + usable_cores() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers_started = group_size(proc.pid) == 1 + usable_cores()
+        finally:
+            proc.kill()     # the step alone: its workers must notice by themselves
+            proc.wait(timeout=30)
+            workers_ended = _group_is_gone(proc.pid, timeout=30)
+    assert workers_started and workers_ended
+
+
 STATS_TABLE = """# balanced error per run
 run,coevo,mrmr,pca,cfs
 r1,0.21,0.30,0.30,0.28
@@ -246,12 +361,21 @@ def test_stats_matches_the_scipy_p_values(tmp_path):
         assert row["reject"] is True
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _modules_loaded_by_cli_import(package):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     probe = ("import sys, coevonet.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a multi-cycle search needs it, and it costs every step time and memory
+    assert _modules_loaded_by_cli_import("multiprocessing") == "[]"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevonet.neural import (
-    ActivationKind, ConfusionCounts, ScgConfig, Topology, TrainedModel, _CrossEntropy,
+    ActivationKind, ConfusionCounts, ScgConfig, Topology, TrainedModel, _activate, _CrossEntropy,
     _flatten, _layer_sizes, _scg_minimize, accuracy, balanced_accuracy, balanced_error,
     confusion, init_weights, mcc, predict, scg_train,
 )
@@ -43,6 +44,15 @@ class TestInit:
         topo = Topology(((0, TANH), (5, SIG)))
         params = init_weights(topo, 3, seed=0)
         assert [w.shape for w, _ in params] == [(3, 5), (5, 2)]
+
+
+class TestActivation:
+    def test_sigmoid_saturates_without_an_overflow_warning(self):
+        z = np.array([[-800.0, 800.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _activate(z, SIG)
+        assert z.tolist() == [[0.0, 1.0, 0.5]]
 
 
 def random_net(rng):

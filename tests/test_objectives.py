@@ -1,5 +1,9 @@
+import contextlib
+import dataclasses
+import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,11 +11,14 @@ import pytest
 
 from conftest import make_planted_splits
 from coevonet import moea, neural
-from coevonet.genome import SearchSpaceConfig, bits_to_string, encode, Architecture
+from coevonet.genome import (SearchSpaceConfig, bits_to_string, encode, Architecture,
+                             string_to_bits)
+from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, ScgConfig, Topology
 from coevonet.objectives import (
     CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector, ScalarizedConfig,
-    TopologyOnlyProblem, cycle_seed, evaluate, penalty, scalarized_value, split_scores,
+    TopologyOnlyProblem, TrainingWorkers, cycle_seed, evaluate, penalty, scalarized_value,
+    split_scores,
 )
 
 TANH = ActivationKind.TANH
@@ -124,7 +131,7 @@ class TestEvaluate:
 
 
 class TestConcurrentCycles:
-    """A genome's cycles train side by side; records match a serial loop."""
+    """A genome's cycle records match a serial loop; trainings are thread-safe."""
 
     def test_three_cycle_record_equals_serial_cycles(self, splits):
         columns, topology = [0, 2, 5], Topology(((4, TANH), (3, ActivationKind.SIGMOID)))
@@ -196,6 +203,54 @@ class TestConcurrentCycles:
             assert (a.final_loss, a.iterations) == (b.final_loss, b.iterations)
             for (wa, ba), (wb, bb) in zip(a.params, b.params):
                 assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+
+
+class TestTrainingWorkers:
+    """Cycles trained in worker processes give the records of inline training."""
+
+    GENOMES = [genome_for([0, 2], [(4, TANH)]), genome_for([1]),
+               genome_for([0, 1, 5], [(3, ActivationKind.SIGMOID), (2, TANH)])]
+
+    def test_started_batch_records_equal_inline_records(self, splits):
+        cfg = EvalConfig(cycles=3, scg=FAST, master_seed=9)
+        inline = CoevolutionProblem(splits, SPACE, cfg)
+        with TrainingWorkers() as workers:
+            pooled = CoevolutionProblem(splits, SPACE, cfg, workers=workers)
+            pooled.start(self.GENOMES)
+            records = [pooled.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
+        assert records == [inline.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
+        assert (pooled.fe_count, pooled.cache_hits) == (3, 3)
+
+    def test_every_cycle_calls_scg_train_in_this_process(self, splits, monkeypatch):
+        pids = []
+        train = neural.scg_train
+
+        def counted(*args, **kwargs):
+            pids.append(os.getpid())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "scg_train", counted)
+        with TrainingWorkers() as workers:
+            problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST),
+                                         workers=workers)
+            problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
+            moea._evaluate_batch(problem, [string_to_bits(b) for b in self.GENOMES], cap=10)
+        assert pids == [os.getpid()] * (2 * len(self.GENOMES))
+
+    @pytest.mark.parametrize("in_workers", [False, True], ids=["inline", "workers"])
+    def test_an_error_in_training_reaches_the_caller(self, splits, in_workers):
+        # gradients of ~1e300 overflow SCG's p @ p in the first iteration
+        train = splits.d_train
+        huge = dataclasses.replace(
+            splits, d_train=PatternSet(train.features * 1e300, train.labels, train.dates))
+        cfg = EvalConfig(cycles=2, scg=FAST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
+            with TrainingWorkers() if in_workers else contextlib.nullcontext() as workers:
+                problem = CoevolutionProblem(huge, SPACE, cfg, workers=workers)
+                with pytest.raises(RuntimeWarning, match="overflow encountered"):
+                    problem.evaluate(genome_for([0, 1]))
+        assert (problem.fe_count, problem.cache) == (0, {})
 
 
 class TestTopologyOnly:
