@@ -128,8 +128,8 @@ def cmd_ingest(args) -> int:
                                          for name, (up, n) in balance.items()))
     for name, (up, n) in balance.items():
         if up in (0, n):
-            logger.warning("split %s holds one class only (%d up days of %d patterns): "
-                           "its balanced error scores that class alone", name, up, n)
+            logger.warning("split %s holds one class only (%d up days of %d patterns)",
+                           name, up, n)
     return 0
 
 

@@ -395,8 +395,8 @@ _SPLIT_FILES = {"pr": "pr.csv", "train": "train.csv", "test": "test.csv", "hold"
 
 def label_balance(splits: DatasetSplits) -> dict[str, tuple[int, int]]:
     """(up days, patterns) of every split, the sealed hold-out included."""
-    return {name: (int(ps._labels.sum()), ps.n)
-            for name, ps in ((name, getattr(splits, f"d_{name}")) for name in _SPLIT_FILES)}
+    sets = {name: getattr(splits, f"d_{name}") for name in _SPLIT_FILES}
+    return {name: (int(ps._labels.sum()), ps.n) for name, ps in sets.items()}
 
 
 def save_splits(splits: DatasetSplits, out_dir, standardizer: Standardizer | None = None,
