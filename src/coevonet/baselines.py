@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moea
-from .genome import string_to_bits
 from .market_data import DatasetSplits, PatternSet
 from .moea import Nsga2Config
 from .objectives import CoevolutionProblem, ScalarizedConfig, scalarized_value
@@ -46,9 +45,6 @@ class PcaModel:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) @ self.components.T
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.components + self.mean
 
 
 def pca_reduce(train_x: np.ndarray, n_components: int | None = None,
@@ -350,7 +346,7 @@ def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
     def pick_parent():
         a, b = rng.choice(len(pop), size=2)
         pa, pb = pop[a], pop[b]
-        return string_to_bits(pa if (values[pa], pa) <= (values[pb], pb) else pb)
+        return pa if (values[pa], pa) <= (values[pb], pb) else pb
 
     best_bits = min(pop, key=lambda b: (values[b], b))
     trace = [ScalarizedTracePoint(0, problem.fe_count, values[best_bits])]

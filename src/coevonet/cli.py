@@ -30,7 +30,9 @@ the artifacts do not depend on how many there are. A one-cycle ``search``,
 worker fails the step as it would inline (exit 2).
 
 ``ingest`` prints each split's up days (label 1) and their share, and warns
-when a split holds one class only.
+when a split holds one class only. ``ingest`` and ``search`` read
+``--config FILE`` (JSON, or TOML for a ``.toml`` name) as their defaults,
+keyed by option name; explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -70,15 +72,16 @@ def _load_config_file(path) -> dict:
     return json.loads(text)
 
 
-def _apply_config_defaults(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Config-file values override defaults; explicit flags override the file."""
-    if not getattr(args, "config", None):
-        return
-    file_cfg = _load_config_file(args.config)
-    for key, value in file_cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+def _parse_with_config(argv, args: argparse.Namespace) -> argparse.Namespace:
+    """``argv`` parsed again with the ``--config`` file's values as the subcommand's defaults.
+
+    Explicit flags override the file; a key that names no option of the
+    subcommand is ignored.
+    """
+    options = set(vars(args)) - {"command", "func", "verbose"}
+    file_cfg = {key.replace("-", "_"): value
+                for key, value in _load_config_file(args.config).items()}
+    return build_parser({k: v for k, v in file_cfg.items() if k in options}).parse_args(argv)
 
 
 def _parse_boundaries(text: str) -> SplitSpec:
@@ -318,7 +321,8 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``config`` holds the defaults of the subcommands that take ``--config``."""
     parser = argparse.ArgumentParser(prog="coevonet", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="five comma-separated ISO dates overriding the default windows")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON/TOML config file")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, **(config or {}))
 
     p = sub.add_parser("search", help="run a multi-seed architecture search")
     p.add_argument("--data", required=True)
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preference weights for --algo scalarized")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, **(config or {}))
 
     p = sub.add_parser("select", help="a-posteriori selection from the merged archive")
     p.add_argument("--run", required=True)
@@ -405,10 +409,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    defaults = {a.dest: a.default for g in parser._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
     try:
-        _apply_config_defaults(args, defaults)
+        if getattr(args, "config", None):
+            args = _parse_with_config(argv, args)
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Binary encoding of candidate architectures and the complexity measure.
 
-A genome is a fixed-length bitstring: the first ``n_features`` bits select
-the input feature subset (at least one bit must be set); each subsequent
-8-bit block encodes one hidden layer, 7 big-endian size bits followed by one
-activation bit (1 = sigmoid, 0 = tanh).
+A genome is a fixed-length bit string (a ``str`` of "0" and "1"): the first
+``n_features`` bits select the input feature subset (at least one bit must
+be set); each subsequent 8-bit block encodes one hidden layer, 7 big-endian
+size bits followed by one activation bit (1 = sigmoid, 0 = tanh). Genomes
+travel as strings from ``repair`` to the artifacts; uint8 arrays exist only
+inside variation (``moea``) and decoding.
 
 Complexity averages three normalized terms: selected-feature fraction,
 active-layer fraction, and mean active-layer fill. The size sum is divided
@@ -67,13 +69,6 @@ def string_to_bits(s: str) -> np.ndarray:
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
 
 
-def _as_bits(genome, length: int) -> np.ndarray:
-    bits = string_to_bits(genome) if isinstance(genome, str) else np.asarray(genome, dtype=np.uint8)
-    if bits.shape != (length,):
-        raise GenomeError(f"genome length {bits.shape} differs from expected {length}")
-    return bits
-
-
 def decode_layer_block(block: np.ndarray) -> tuple[int, ActivationKind]:
     """7 big-endian size bits then 1 activation bit (1 sigmoid, 0 tanh)."""
     size_bits = block[:-1]
@@ -104,8 +99,10 @@ def decode_topology(bits: np.ndarray, cfg: SearchSpaceConfig) -> Topology:
     return Topology(tuple(layers))
 
 
-def decode(genome, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> Architecture:
-    bits = _as_bits(genome, cfg.genome_length)
+def decode(genome: str, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> Architecture:
+    bits = string_to_bits(genome)
+    if bits.shape != (cfg.genome_length,):
+        raise GenomeError(f"genome length {bits.shape} differs from expected {cfg.genome_length}")
     feature_idx = tuple(int(i) for i in np.flatnonzero(bits[:cfg.n_features]))
     if not feature_idx:
         raise GenomeError("empty feature subset (all feature bits zero)")
@@ -113,7 +110,7 @@ def decode(genome, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> Architecture
     return Architecture(feature_idx, topology)
 
 
-def encode(arch: Architecture, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> np.ndarray:
+def encode(arch: Architecture, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> str:
     bits = np.zeros(cfg.genome_length, dtype=np.uint8)
     for i in arch.feature_indices:
         if not 0 <= i < cfg.n_features:
@@ -126,7 +123,7 @@ def encode(arch: Architecture, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> 
     for k, (size, act) in enumerate(layers):
         start = cfg.n_features + k * cfg.bits_per_layer
         bits[start:start + cfg.bits_per_layer] = encode_layer_block(size, act, cfg.bits_per_layer)
-    return bits
+    return bits_to_string(bits)
 
 
 def complexity_of(n_selected: int, topology: Topology,

@@ -110,24 +110,11 @@ def _rolling_mean(x: np.ndarray, w: int) -> np.ndarray:
     return _rolling_sum(x, w) / w
 
 
-def _rolling_max(x: np.ndarray, w: int) -> np.ndarray:
+def _rolling(x: np.ndarray, w: int, reduce) -> np.ndarray:
+    """``reduce`` (np.max, np.min, np.median) over [t-w+1, t]; NaN for t < w-1."""
     out = np.full(len(x), np.nan)
     if len(x) >= w:
-        out[w - 1:] = sliding_window_view(x, w).max(axis=1)
-    return out
-
-
-def _rolling_min(x: np.ndarray, w: int) -> np.ndarray:
-    out = np.full(len(x), np.nan)
-    if len(x) >= w:
-        out[w - 1:] = sliding_window_view(x, w).min(axis=1)
-    return out
-
-
-def _rolling_median(x: np.ndarray, w: int) -> np.ndarray:
-    out = np.full(len(x), np.nan)
-    if len(x) >= w:
-        out[w - 1:] = np.median(sliding_window_view(x, w), axis=1)
+        out[w - 1:] = reduce(sliding_window_view(x, w), axis=1)
     return out
 
 
@@ -147,9 +134,15 @@ def _updown_flags(close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def _prev_close(close: np.ndarray) -> np.ndarray:
+    """close delayed by one day; day 0 takes its own close."""
+    prev = _shift(close, 1)
+    prev[0] = close[0]
+    return prev
+
+
 def _true_range(high, low, close) -> np.ndarray:
-    prev_close = _shift(close, 1)
-    prev_close[0] = close[0]
+    prev_close = _prev_close(close)
     return np.maximum(high, prev_close) - np.minimum(low, prev_close)
 
 
@@ -159,6 +152,17 @@ def _ema(x: np.ndarray, period: int) -> np.ndarray:
     out[0] = x[0]
     for t in range(1, len(x)):
         out[t] = alpha * x[t] + (1 - alpha) * out[t - 1]
+    return out
+
+
+def _stoch_smooth(x: np.ndarray, start: int) -> np.ndarray:
+    """Stochastic smoothing: 50 at ``start``, then 2/3 of the previous value plus 1/3 of x."""
+    out = np.full(len(x), np.nan)
+    if start >= len(out):
+        return out
+    out[start] = 50.0
+    for t in range(start + 1, len(x)):
+        out[t] = (2.0 / 3.0) * out[t - 1] + (1.0 / 3.0) * x[t]
     return out
 
 
@@ -193,8 +197,8 @@ def _col_rsi(s, period):
 
 
 def _fast_k(s, period):
-    hh = _rolling_max(s.high, period)
-    ll = _rolling_min(s.low, period)
+    hh = _rolling(s.high, period, np.max)
+    ll = _rolling(s.low, period, np.min)
     rng = hh - ll
     with np.errstate(invalid="ignore", divide="ignore"):
         fast = np.where(rng > 0, 100.0 * (s.close - ll) / rng, 50.0)
@@ -203,42 +207,20 @@ def _fast_k(s, period):
 
 
 def _col_stoch_k(s, period):
-    fast = _fast_k(s, period)
-    out = np.full(len(fast), np.nan)
-    start = period - 1
-    if start >= len(out):
-        return out
-    out[start] = 50.0
-    for t in range(start + 1, len(fast)):
-        out[t] = (2.0 / 3.0) * out[t - 1] + (1.0 / 3.0) * fast[t]
-    return out
+    return _stoch_smooth(_fast_k(s, period), period - 1)
 
 
 def _col_stoch_d(s, period):
-    k = _col_stoch_k(s, period)
-    out = np.full(len(k), np.nan)
-    start = period - 1
-    if start >= len(out):
-        return out
-    out[start] = 50.0
-    for t in range(start + 1, len(k)):
-        out[t] = (2.0 / 3.0) * out[t - 1] + (1.0 / 3.0) * k[t]
-    return out
+    return _stoch_smooth(_col_stoch_k(s, period), period - 1)
 
 
 def _col_macd(s, period):
-    diff = _ema(s.close, 12) - _ema(s.close, 26)
-    alpha = 2.0 / (period + 1)
-    out = np.empty(len(diff))
-    out[0] = diff[0]
-    for t in range(1, len(diff)):
-        out[t] = (1 - alpha) * out[t - 1] + alpha * diff[t]
-    return out
+    return _ema(_ema(s.close, 12) - _ema(s.close, 26), period)
 
 
 def _col_wr(s, period):
-    hh = _rolling_max(s.high, period)
-    ll = _rolling_min(s.low, period)
+    hh = _rolling(s.high, period, np.max)
+    ll = _rolling(s.low, period, np.min)
     rng = hh - ll
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(rng > 0, 100.0 * (hh - s.close) / rng, 50.0)
@@ -306,8 +288,7 @@ def _col_ar(s, period):
 
 
 def _col_br(s, period):
-    prev_close = _shift(s.close, 1)
-    prev_close[0] = s.close[0]
+    prev_close = _prev_close(s.close)
     num = _rolling_sum(s.high - prev_close, period)
     den = _rolling_sum(prev_close - s.low, period)
     out = _ratio_guard(num, den)
@@ -317,15 +298,15 @@ def _col_br(s, period):
 
 
 def _col_ll(s, period):
-    return _shift(_rolling_min(s.low, period), 1)
+    return _shift(_rolling(s.low, period, np.min), 1)
 
 
 def _col_hh(s, period):
-    return _shift(_rolling_max(s.high, period), 1)
+    return _shift(_rolling(s.high, period, np.max), 1)
 
 
 def _col_mp(s, period):
-    return _shift(_rolling_median(s.close, period), 1)
+    return _shift(_rolling(s.close, period, np.median), 1)
 
 
 def _col_atr(s, period):
@@ -353,8 +334,7 @@ def _col_roc(s, period):
 
 
 def _col_uo(s, x, y, z):
-    prev_close = _shift(s.close, 1)
-    prev_close[0] = s.close[0]
+    prev_close = _prev_close(s.close)
     bp = s.close - np.minimum(s.low, prev_close)
     tr = np.maximum(s.high, prev_close) - np.minimum(s.low, prev_close)
 
@@ -377,7 +357,7 @@ def _col_ulcer(s, period):
     acc = np.zeros(n)
     count = np.zeros(n)
     for k in range(1, period + 1):
-        hh_k = _shift(_rolling_max(s.high, k), 1)
+        hh_k = _shift(_rolling(s.high, k, np.max), 1)
         with np.errstate(invalid="ignore"):
             r = 100.0 * (s.close - hh_k) / hh_k
         valid = ~np.isnan(r)
@@ -427,16 +407,6 @@ def compute_column(series: "OhlcvSeries", iid: IndicatorId) -> np.ndarray:
     except KeyError:
         raise IndicatorError(f"unknown indicator family {iid.kind!r}") from None
     return fn(series, *iid.params)
-
-
-def compute_feature(series: "OhlcvSeries", iid: IndicatorId, t: int,
-                    warmup: int = 40) -> float:
-    """Indicator value for day index t (0-based); t must be past the warm-up."""
-    if t < warmup:
-        raise IndicatorError(f"t={t} is inside the {warmup}-bar warm-up")
-    if t >= len(series):
-        raise IndicatorError(f"t={t} beyond series of length {len(series)}")
-    return float(compute_column(series, iid)[t])
 
 
 def compute_matrix(series: "OhlcvSeries", catalog=None, warmup: int = 40) -> np.ndarray:

@@ -16,7 +16,10 @@ budget of uniform genomes and is the reference front for efficacy checks.
 The engines, and the scalarized GA in ``baselines``, share one skeleton:
 ``_random_genome`` draws initial genomes, ``_make_offspring`` builds children
 from a caller's parent picker, and ``_evaluate_batch`` is the only budget
-check. Objectives enter sorting and crowding as plain (n, 3) float rows.
+check. A genome is a bit string from the moment ``repair`` returns it:
+populations, batches and archives hold strings, and variation turns its
+parents into uint8 arrays and its repaired children back into strings.
+Objectives enter sorting and crowding as plain (n, 3) float rows.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ class ParetoArchive:
         return sorted(self._members.items(),
                       key=lambda kv: (kv[1].as_tuple(), kv[0]))
 
-    def add(self, bits, objectives: ObjectiveVector) -> bool:
-        bits_str = bits if isinstance(bits, str) else bits_to_string(bits)
+    def add(self, bits_str: str, objectives: ObjectiveVector) -> bool:
         if bits_str in self._members:
             return False
         new = objectives.as_tuple()
@@ -283,16 +285,15 @@ def _evaluate_batch(problem, batch, cap):
     """Evaluate genomes until the FE cap would be exceeded; cache hits are free.
 
     This is the only budget check of the engines. It first fixes the prefix
-    of ``batch`` that fits the budget and hands that prefix's fresh genomes
-    to ``problem.start`` at once, then evaluates the prefix in order. It
-    returns the evaluated (bits string, record) pairs and whether the cap
-    stopped the batch.
+    of ``batch`` (bit strings) that fits the budget and hands that prefix's
+    fresh genomes to ``problem.start`` at once, then evaluates the prefix in
+    order. It returns the evaluated (bits string, record) pairs and whether
+    the cap stopped the batch.
     """
     accepted = []
     fresh = {}      # an ordered set: a repeat within the batch is a cache hit
     exhausted = False
-    for bits in batch:
-        bits_str = bits_to_string(bits)
+    for bits_str in batch:
         if bits_str not in problem.cache and bits_str not in fresh:
             if problem.fe_count + len(fresh) >= cap:
                 exhausted = True
@@ -303,12 +304,13 @@ def _evaluate_batch(problem, batch, cap):
     return [(bits_str, problem.evaluate(bits_str)) for bits_str in accepted], exhausted
 
 
-def _random_genome(problem, rng: np.random.Generator) -> np.ndarray:
-    return problem.repair(rng.integers(0, 2, size=problem.n_bits, dtype=np.uint8), rng)
+def _random_genome(problem, rng: np.random.Generator) -> str:
+    return bits_to_string(problem.repair(rng.integers(0, 2, size=problem.n_bits, dtype=np.uint8),
+                                         rng))
 
 
 def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
-                    rng: np.random.Generator) -> list[np.ndarray]:
+                    rng: np.random.Generator) -> list[str]:
     """``cfg.population`` repaired children of tournament-picked parent pairs.
 
     With probability ``crossover_rate`` a pair recombines, by two
@@ -320,7 +322,7 @@ def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     offspring = []
     while len(offspring) < cfg.population:
-        pa, pb = pick_parent(), pick_parent()
+        pa, pb = string_to_bits(pick_parent()), string_to_bits(pick_parent())
         if rng.random() < cfg.crossover_rate:
             if rng.random() < cfg.nongeometric_prob:
                 kids = [nongeometric_crossover(pa, pb, rng, flip_prob),
@@ -328,9 +330,10 @@ def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
             else:
                 kids = list(uniform_crossover(pa, pb, rng))
         else:
-            kids = [pa.copy(), pb.copy()]
+            kids = [pa, pb]
         for kid in kids:
-            offspring.append(problem.repair(bitflip_mutation(kid, mutation_rate, rng), rng))
+            offspring.append(bits_to_string(
+                problem.repair(bitflip_mutation(kid, mutation_rate, rng), rng)))
     return offspring[:cfg.population]
 
 
@@ -339,7 +342,7 @@ def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[Generation
     cap = cfg.max_evaluations
     evaluated, exhausted = _evaluate_batch(
         problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
-    pop_bits = [string_to_bits(b) for b, _ in evaluated]
+    pop_bits = [b for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
     # each population is sorted once: for its statistics, the next
     # generation's tournament and, at the end, the archive
@@ -358,7 +361,7 @@ def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[Generation
 
         offspring = _make_offspring(pick_parent, problem, cfg, rng)
         evaluated, exhausted = _evaluate_batch(problem, offspring, cap)
-        pool_bits = pop_bits + [string_to_bits(b) for b, _ in evaluated]
+        pool_bits = pop_bits + [b for b, _ in evaluated]
         pool_objs = pop_objs + [rec.objectives for _, rec in evaluated]
         pop_bits, pop_objs = _environmental_selection(pool_bits, pool_objs, cfg.population)
         rows = _objective_rows(pop_objs)
@@ -437,10 +440,10 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
 
     evaluated, exhausted = _evaluate_batch(
         problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
-    pop_bits = [string_to_bits(b) for b, _ in evaluated]
+    pop_bits = [b for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
     while len(pop_bits) < cfg.population:  # budget smaller than the population
-        pop_bits.append(pop_bits[-1].copy())
+        pop_bits.append(pop_bits[-1])
         pop_objs.append(pop_objs[-1])
     archive = ParetoArchive()
     for b, o in zip(pop_bits, pop_objs):
@@ -456,31 +459,29 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
         for i in rng.permutation(cfg.population):
             hood = neighbors[i]
             if guided and archive_members:
-                pa = string_to_bits(archive_members[int(rng.integers(len(archive_members)))][0])
+                pa = archive_members[int(rng.integers(len(archive_members)))][0]
                 pb = pop_bits[hood[int(rng.integers(len(hood)))]]
             else:
                 ja, jb = rng.choice(hood, size=2, replace=len(hood) < 2)
                 pa, pb = pop_bits[ja], pop_bits[jb]
-            if rng.random() < cfg.crossover_rate:
-                child = uniform_crossover(pa, pb, rng)[0]
-            else:
-                child = pa.copy()
-            child = problem.repair(bitflip_mutation(child, mutation_rate, rng), rng)
+            pa, pb = string_to_bits(pa), string_to_bits(pb)
+            child = uniform_crossover(pa, pb, rng)[0] if rng.random() < cfg.crossover_rate else pa
+            child = bits_to_string(problem.repair(bitflip_mutation(child, mutation_rate, rng), rng))
             evaluated, exhausted = _evaluate_batch(problem, [child], cap)
             if exhausted:
                 break
-            child_str, rec = evaluated[0]
+            rec = evaluated[0][1]
             f = np.asarray(rec.objectives.as_tuple())
             ideal = np.minimum(ideal, f)
             replaced = 0
             for j in rng.permutation(hood):
                 if _tchebycheff(f, weights[j], ideal) <= _tchebycheff(rows[j], weights[j], ideal):
-                    pop_bits[j] = child.copy()
+                    pop_bits[j] = child
                     rows[j] = f
                     replaced += 1
                     if replaced >= 2:
                         break
-            archive.add(child_str, rec.objectives)
+            archive.add(child, rec.objectives)
         stats.append(_snapshot(gen, problem, rows, fast_nondominated_sort(rows)))
     logger.info("eagd: %d generations, %d evaluations (%d cache hits), archive %d",
                 gen, problem.fe_count, problem.cache_hits, len(archive))

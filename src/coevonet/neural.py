@@ -206,10 +206,9 @@ class _CrossEntropy:
 
 @dataclass
 class TrainedModel:
-    """A trained network plus the inputs it expects and training diagnostics."""
+    """A trained network plus training diagnostics."""
 
     topology: Topology
-    feature_indices: tuple[int, ...]
     params: list[tuple[np.ndarray, np.ndarray]]
     final_loss: float
     iterations: int
@@ -327,8 +326,7 @@ def train_in_processes(pool) -> None:
 
 
 def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
-              cfg: ScgConfig, seed: int,
-              feature_indices: tuple[int, ...] | None = None) -> TrainedModel:
+              cfg: ScgConfig, seed: int) -> TrainedModel:
     """Train on patterns whose columns are already restricted to the model inputs."""
     if x.shape[0] == 0:
         raise ValueError("empty training set")
@@ -346,7 +344,6 @@ def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
         logger.warning("SCG aborted on non-finite loss (topology %s)", topology.describe())
     return TrainedModel(
         topology=topology,
-        feature_indices=tuple(feature_indices) if feature_indices is not None else tuple(range(n_inputs)),
         params=_unflatten(theta, sizes),
         final_loss=loss,
         iterations=iters,

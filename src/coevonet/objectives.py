@@ -5,19 +5,19 @@ error on the within-regime test window, architectural complexity, and
 balanced error on the earlier-regime window. Weight estimation repeats over
 ``cycles`` independently seeded trainings and the errors are cycle means;
 cycle k of genome g is seeded by hash(master_seed, bits, k), so re-evaluation
-is reproducible and results can be cached by bitstring.
+is reproducible and results can be cached by bit string (the genome itself).
 
-A problem given ``TrainingWorkers`` trains in worker processes: ``start``
-hands it a batch of genomes and queues every cycle of every fresh one at
-once; a waiting thread takes each cycle, calls ``neural.scg_train`` (whose
-minimization runs in a worker) and scores the model in this process.
-``evaluate`` still runs once per genome, in the caller's order, on the
-caller's thread: it waits for the genome's cycles, so the cache, the FE
-count and the trace log behave as without workers. A problem without
-workers trains each cycle on the calling thread when ``evaluate`` reaches
-it. Rows are collected in cycle order and each cycle's seed depends only on
-(master seed, bits, k), so a record does not depend on the workers or the
-core count.
+Evaluation has one path: queue, then collect. ``start`` takes a batch of
+genomes and queues every cycle of every fresh one; ``evaluate`` runs once
+per genome, in the caller's order, on the caller's thread, starts the
+genome if nothing did, and collects its cycles' score rows in cycle order.
+With ``TrainingWorkers`` a queued cycle is already running: a waiting
+thread calls ``neural.scg_train`` (whose minimization runs in a worker
+process) and scores the model in this process, and collecting waits for
+it. Without workers a queued cycle is a pending call, which collecting
+makes on the calling thread. Each cycle's seed depends only on (master
+seed, bits, k), so a record does not depend on the workers or the core
+count, and the cache, the FE count and the trace log behave the same.
 
 The scalarized single-objective variant combines overall test error and
 complexity under preference weights plus a 5x epsilon-constraint penalty on
@@ -27,6 +27,7 @@ test/pre-regime correlation (MCC) and pre-regime error.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -212,7 +213,7 @@ class _EvaluationProblem:
         self.cache_hits = 0
         self._trace_path = trace_path
         self._workers = workers
-        self._started: dict[str, tuple] = {}    # bits -> (complexity, futures of cycle rows)
+        self._started: dict[str, tuple] = {}    # bits -> (complexity, calls giving cycle rows)
 
     # subclasses define n_bits, repair(bits, rng) and decode(bits_str), which
     # returns (input columns or None for all, input count, topology)
@@ -229,33 +230,28 @@ class _EvaluationProblem:
                 "layers": [[size, act.value] for size, act in topology.layers]}
 
     def start(self, genomes) -> None:
-        """Queue every cycle of the fresh genomes among ``genomes`` (bit strings) on the workers.
+        """Queue every cycle of the fresh genomes among ``genomes`` (bit strings).
 
-        A problem without workers trains when ``evaluate`` reaches a genome.
+        Each cycle is recorded as the call that gives its score row: the
+        result of a future on the workers, or the pending training itself.
         """
-        if self._workers is None:
-            return
         for bits_str in genomes:
             if bits_str not in self.cache and bits_str not in self._started:
                 c, one_cycle = self._cycle_trainer(bits_str)
-                self._started[bits_str] = c, [self._workers.submit(one_cycle, k)
-                                              for k in range(1, self.cfg.cycles + 1)]
+                ks = range(1, self.cfg.cycles + 1)
+                self._started[bits_str] = c, (
+                    [functools.partial(one_cycle, k) for k in ks] if self._workers is None
+                    else [self._workers.submit(one_cycle, k).result for k in ks])
 
-    def evaluate(self, bits) -> EvalRecord:
-        bits_str = bits if isinstance(bits, str) else genome_mod.bits_to_string(bits)
+    def evaluate(self, bits_str: str) -> EvalRecord:
         hit = self.cache.get(bits_str)
         if hit is not None:
             self.cache_hits += 1
             return hit
         started = time.perf_counter()
         self.start([bits_str])
-        if bits_str in self._started:
-            c, futures = self._started.pop(bits_str)
-            rows = [f.result() for f in futures]
-        else:
-            c, one_cycle = self._cycle_trainer(bits_str)
-            rows = [one_cycle(k) for k in range(1, self.cfg.cycles + 1)]
-        record = _record(c, rows)
+        c, calls = self._started.pop(bits_str)
+        record = _record(c, [call() for call in calls])
         self.fe_count += 1
         self.cache[bits_str] = record
         if self._trace_path is not None:
@@ -265,14 +261,16 @@ class _EvaluationProblem:
     def _cycle_trainer(self, bits_str: str):
         """The genome's complexity, and the function that trains and scores its cycle k.
 
-        A cycle's row is ``split_scores`` on d_test, then on d_pr.
+        A cycle's row is ``split_scores`` on d_test, then on d_pr. The cycle
+        slices its training inputs when it runs, so a queue of many genomes
+        holds no copies of the training matrix.
         """
         columns, n_selected, topology = self.decode(bits_str)
         c = genome_mod.complexity_of(n_selected, topology, self.space)
-        train = self.splits.d_train
-        x_train = train.features[:, columns] if columns is not None else train.features
 
         def one_cycle(k):
+            train = self.splits.d_train
+            x_train = train.features[:, columns] if columns is not None else train.features
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
             model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
             if model.aborted:
@@ -328,12 +326,6 @@ class TopologyOnlyProblem(_EvaluationProblem):
     def decode(self, bits_str: str):
         topology = decode_topology(genome_mod.string_to_bits(bits_str), self.space)
         return None, self.splits.d_train.n_features, topology
-
-
-def evaluate(genome_bits, splits: DatasetSplits, cfg: EvalConfig,
-             space: SearchSpaceConfig = SearchSpaceConfig()) -> ObjectiveVector:
-    """One-off evaluation of a single genome (no cache reuse)."""
-    return CoevolutionProblem(splits, space, cfg).evaluate(genome_bits).objectives
 
 
 @dataclass

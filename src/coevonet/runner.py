@@ -217,8 +217,7 @@ def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits
                       scg_cfg: ScgConfig, seed: int) -> neural.TrainedModel:
     train = splits.d_train
     x = train.features[:, list(feature_indices)] if feature_indices is not None else train.features
-    return neural.scg_train(topology, x, train.labels, scg_cfg, seed,
-                            feature_indices=feature_indices)
+    return neural.scg_train(topology, x, train.labels, scg_cfg, seed)
 
 
 def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coevonet import moea
+from coevonet.genome import string_to_bits
 from coevonet.market_data import DatasetSplits, OhlcvSeries, PatternSet, SplitSpec
 from coevonet.objectives import CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector
 
@@ -47,6 +48,11 @@ def truncated(series, n_bars):
 def random_genome(space, rng):
     """A uniform co-evolution genome, drawn and repaired as the engines draw one."""
     return moea._random_genome(CoevolutionProblem(None, space, EvalConfig()), rng)
+
+
+def evaluate(genome, splits, cfg, space):
+    """Objectives of one genome on a fresh problem (no cache reuse)."""
+    return CoevolutionProblem(splits, space, cfg).evaluate(genome).objectives
 
 
 def objective_matrix(archive):
@@ -111,13 +117,11 @@ class MockProblem:
     def start(self, genomes):
         pass        # evaluation is instant: nothing to queue
 
-    def evaluate(self, bits):
-        from coevonet.genome import bits_to_string
-        bits_str = bits if isinstance(bits, str) else bits_to_string(bits)
+    def evaluate(self, bits_str):
         if bits_str in self.cache:
             self.cache_hits += 1
             return self.cache[bits_str]
-        b = np.frombuffer(bits_str.encode(), dtype=np.uint8) - ord("0")
+        b = string_to_bits(bits_str)
         u = b[:2].mean()
         v = b[2:4].mean()
         g = b[4:].mean()

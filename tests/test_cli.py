@@ -240,6 +240,29 @@ def test_ingest_balance_of_the_synthetic_data(tmp_path, capsys):
             "hold 30/89 (34%)") in capsys.readouterr().out
 
 
+def _ingested(out: Path) -> tuple[int, int]:
+    """(bars, master seed) of an ``ingest --synthetic`` output directory."""
+    bars = len((out / "ohlcv.csv").read_text().splitlines()) - 1
+    return bars, json.loads((out / "splits" / "manifest.json").read_text())["master_seed"]
+
+
+@pytest.mark.parametrize("name, text", [("c.json", '{"bars": 300, "seed": 3}'),
+                                        ("c.toml", "bars = 300\nseed = 3\n")])
+def test_config_file_sets_the_defaults(tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    assert cli.main(["ingest", "--synthetic", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / "data")]) == 0
+    assert _ingested(tmp_path / "data") == (300, 3)
+
+
+def test_explicit_flags_beat_the_config_file(tmp_path):
+    # --seed 7 is also the parser's default: given explicitly, it still wins
+    (tmp_path / "c.json").write_text('{"bars": 300, "seed": 3}')
+    assert cli.main(["ingest", "--synthetic", "--config", str(tmp_path / "c.json"),
+                     "--seed", "7", "--bars", "310", "--out", str(tmp_path / "data")]) == 0
+    assert _ingested(tmp_path / "data") == (310, 7)
+
+
 def test_only_a_multi_cycle_search_forks_training_workers(sessions, tmp_path, monkeypatch):
     forks = []
     fork = os.fork

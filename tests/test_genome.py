@@ -59,7 +59,7 @@ class TestEncode:
     def test_boundary_127(self):
         arch = Architecture((0,), Topology(((127, TANH), (0, TANH))))
         bits = encode(arch)
-        assert bits_to_string(bits)[CFG.n_features:CFG.n_features + 8] == "11111110"
+        assert bits[CFG.n_features:CFG.n_features + 8] == "11111110"
         assert decode(bits).topology.layers[0] == (127, TANH)
 
     def test_128_rejected(self):
@@ -75,7 +75,7 @@ class TestEncode:
     def test_round_trip_random(self, seed):
         rng = np.random.default_rng(seed)
         bits = random_genome(CFG, rng)
-        assert np.array_equal(encode(decode(bits), CFG), bits)
+        assert encode(decode(bits), CFG) == bits
 
 
 TABLE2_CASES = [
@@ -132,11 +132,11 @@ class TestRandomGenome:
     def test_reproducible(self):
         a = random_genome(CFG, np.random.default_rng(99))
         b = random_genome(CFG, np.random.default_rng(99))
-        assert np.array_equal(a, b)
+        assert a == b
 
     def test_subset_sizes_near_binomial(self):
         rng = np.random.default_rng(7)
-        sizes = np.array([random_genome(CFG, rng)[:68].sum() for _ in range(10_000)])
+        sizes = np.array([random_genome(CFG, rng)[:68].count("1") for _ in range(10_000)])
         # Binomial(68, 1/2): mean 34, sd ~4.12; sample mean within 4 sigma/sqrt(n)
         assert abs(sizes.mean() - 34.0) < 4 * 4.123 / 100
         assert 3.8 < sizes.std() < 4.5
@@ -149,4 +149,4 @@ class TestRandomGenome:
 
     def test_string_round_trip(self):
         bits = random_genome(CFG, np.random.default_rng(5))
-        assert np.array_equal(string_to_bits(bits_to_string(bits)), bits)
+        assert bits_to_string(string_to_bits(bits)) == bits

@@ -7,7 +7,8 @@ in RNG draw order, tie-breaking or the budget check shows up here even when
 two runs of the new code still agree with each other. ``CLI_ARCHIVE_DIGESTS``
 does the same for a small real run: ``ingest`` of 300 synthetic bars, then a
 two-run ``search`` of every ``--algo`` (and of NSGA-II at two cycles), pinned
-by a digest of the merged archive's genomes and objectives.
+by a digest of the merged archive's genomes and objectives; the ingested
+split files are pinned by ``INGEST_SPLITS_DIGEST``.
 """
 
 import hashlib
@@ -97,6 +98,10 @@ CLI_ARCHIVE_DIGESTS = {
     "topology-only-pca": "2e36bb42fec4f3e7a5c25e8ad83905e1152aac545a312b0856fcb395eb294e1c",
 }
 
+#: sha256 over the name and bytes of each ``splits/*.csv`` that ``ingest
+#: --synthetic --seed 7 --bars 300`` writes, in name order.
+INGEST_SPLITS_DIGEST = "1878309b63ecc464fc9caf8630ea85c74a98767a0f0b3ae41cfc0fccca3025b8"
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The steps run in one subprocess, so that the BLAS variables in its
@@ -148,6 +153,13 @@ def cli_runs(tmp_path_factory):
 def test_cli_archive_matches_recorded_run(cli_runs, name):
     digest = _member_digest(cli_runs / name / "merged" / "archive.jsonl")
     assert digest == CLI_ARCHIVE_DIGESTS[name]
+
+
+def test_ingested_splits_match_recorded_bytes(cli_runs):
+    digest = hashlib.sha256()
+    for path in sorted((cli_runs / "data" / "splits").glob("*.csv")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == INGEST_SPLITS_DIGEST
 
 
 def test_cli_archive_matches_with_blas_variables_unset(tmp_path):

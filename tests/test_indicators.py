@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_walk_series, truncated
 from coevonet.indicators import (
     IndicatorError, IndicatorId, catalog_index, catalog_to_json, compute_column,
-    compute_feature, compute_matrix, default_catalog,
+    compute_matrix, default_catalog,
 )
 from coevonet.market_data import OhlcvSeries
 
@@ -59,27 +59,27 @@ class TestConstantAndMonotone:
     def test_constant_series_values(self):
         s = constant_series()
         t = 50
-        assert compute_feature(s, IndicatorId("ma", (5,)), t) == 100.0
-        assert compute_feature(s, IndicatorId("mtm", (5,)), t) == 0.0
-        assert compute_feature(s, IndicatorId("roc", (5,)), t) == 100.0
-        assert compute_feature(s, IndicatorId("rdp", (5,)), t) == 0.0
-        assert compute_feature(s, IndicatorId("ema", (10,)), t) == 100.0
+        assert compute_column(s, IndicatorId("ma", (5,)))[t] == 100.0
+        assert compute_column(s, IndicatorId("mtm", (5,)))[t] == 0.0
+        assert compute_column(s, IndicatorId("roc", (5,)))[t] == 100.0
+        assert compute_column(s, IndicatorId("rdp", (5,)))[t] == 0.0
+        assert compute_column(s, IndicatorId("ema", (10,)))[t] == 100.0
         # flat-window guards
-        assert compute_feature(s, IndicatorId("rsi", (5,)), t) == 50.0
-        assert compute_feature(s, IndicatorId("wr", (5,)), t) == 50.0
-        assert compute_feature(s, IndicatorId("vr", (10,)), t) == 0.5
+        assert compute_column(s, IndicatorId("rsi", (5,)))[t] == 50.0
+        assert compute_column(s, IndicatorId("wr", (5,)))[t] == 50.0
+        assert compute_column(s, IndicatorId("vr", (10,)))[t] == 0.5
 
     def test_monotone_up_run(self):
         closes = np.concatenate([100 + np.zeros(50), 100 + np.arange(1, 11)])
         s = series_from_closes(closes)
         t = len(closes) - 1  # 10 consecutive up days behind us
-        assert compute_feature(s, IndicatorId("psy", (5,)), t) == 100.0
-        assert compute_feature(s, IndicatorId("rsi", (5,)), t) == 100.0
+        assert compute_column(s, IndicatorId("psy", (5,)))[t] == 100.0
+        assert compute_column(s, IndicatorId("rsi", (5,)))[t] == 100.0
 
     def test_monotone_down_rsi_zero(self):
         closes = np.concatenate([100 + np.zeros(50), 100 - np.arange(1, 11)])
         s = series_from_closes(closes)
-        assert compute_feature(s, IndicatorId("rsi", (5,)), len(closes) - 1) == 0.0
+        assert compute_column(s, IndicatorId("rsi", (5,)))[len(closes) - 1] == 0.0
 
     def test_oscp_rejects_a_window_of_zero_closes(self):
         s = series_from_closes(np.concatenate([np.full(20, 100.0), np.zeros(5), np.full(20, 100.0)]))
@@ -184,14 +184,15 @@ class TestMatrix:
         m = compute_matrix(s, cat)
         for j in (0, 4, 20, 47, 67):
             for t in (40, 55, 69):
-                assert m[t - 40, j] == compute_feature(s, cat[j], t)
+                assert m[t - 40, j] == compute_column(s, cat[j])[t]
 
     def test_warmup_guard(self):
         s = random_walk_series(70, seed=43)
         with pytest.raises(IndicatorError):
-            compute_feature(s, IndicatorId("ma", (5,)), 39)
-        with pytest.raises(IndicatorError):
             compute_matrix(truncated(s, 30))
+        with pytest.raises(IndicatorError):
+            compute_matrix(truncated(s, 40))    # no row past the 40-bar warm-up
+        assert compute_matrix(truncated(s, 41)).shape == (1, 68)
 
     def test_unknown_family(self):
         s = random_walk_series(50, seed=47)

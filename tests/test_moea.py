@@ -3,7 +3,7 @@ import pytest
 
 from conftest import MockProblem, is_dominance_fixed_point, objective_matrix
 from coevonet.moea import (
-    EagdConfig, GenerationStats, Nsga2Config, ParetoArchive, bitflip_mutation,
+    EagdConfig, GenerationStats, Nsga2Config, ParetoArchive, _evaluate_batch, bitflip_mutation,
     crowding_distance, crowding_tournament, dominates, eagd_run,
     fast_nondominated_sort, hypervolume, merge_archives, nongeometric_crossover,
     nsga2_run, random_search_run, simplex_lattice_weights, uniform_crossover,
@@ -266,6 +266,13 @@ class TestEngines:
             if hv_a >= hv_r:
                 wins += 1
         assert wins >= 18
+
+    def test_batch_evaluates_each_distinct_genome(self):
+        problem = MockProblem()
+        batch = ["0100" + "0" * 24, "0010" + "0" * 24, "1000" + "0" * 24]
+        evaluated, exhausted = _evaluate_batch(problem, batch, cap=10)
+        assert [bits for bits, _ in evaluated] == batch and not exhausted
+        assert (problem.fe_count, problem.cache_hits) == (3, 0)
 
     def test_eagd_weight_vectors(self):
         w = simplex_lattice_weights(3, 50)

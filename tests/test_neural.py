@@ -197,8 +197,7 @@ class TestScgTraining:
 
 class TestPredict:
     def make_fixed_model(self, w):
-        return TrainedModel(Topology(()), (0,), [(np.array(w, dtype=float), np.zeros(2))],
-                            0.0, 0)
+        return TrainedModel(Topology(()), [(np.array(w, dtype=float), np.zeros(2))], 0.0, 0)
 
     def test_argmax_convention(self):
         model = self.make_fixed_model([[1.0, -1.0]])

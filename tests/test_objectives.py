@@ -3,22 +3,21 @@ import dataclasses
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import make_planted_splits
+from conftest import evaluate, make_planted_splits
 from coevonet import moea, neural
-from coevonet.genome import (SearchSpaceConfig, bits_to_string, encode, Architecture,
-                             string_to_bits)
+from coevonet.genome import SearchSpaceConfig, encode, Architecture
 from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, ScgConfig, Topology
 from coevonet.objectives import (
     CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector, ScalarizedConfig,
-    TopologyOnlyProblem, TrainingWorkers, cycle_seed, evaluate, penalty, scalarized_value,
-    split_scores,
+    TopologyOnlyProblem, TrainingWorkers, cycle_seed, penalty, scalarized_value, split_scores,
 )
 
 TANH = ActivationKind.TANH
@@ -33,7 +32,7 @@ def splits():
 
 def genome_for(features, layers=()):
     arch = Architecture(tuple(features), Topology(tuple(layers)))
-    return bits_to_string(encode(arch, SPACE))
+    return encode(arch, SPACE)
 
 
 class TestObjectiveVector:
@@ -103,8 +102,8 @@ class TestEvaluate:
         assert (problem.fe_count, problem.cache_hits) == (1, 1)
 
     def test_aborted_cycle_scores_worst_case(self, splits, monkeypatch):
-        def fake_train(topology, x, y, cfg, seed, feature_indices=None):
-            return neural.TrainedModel(topology, (), [], float("nan"), 0, aborted=True)
+        def fake_train(topology, x, y, cfg, seed):
+            return neural.TrainedModel(topology, [], float("nan"), 0, aborted=True)
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
         cfg = EvalConfig(cycles=2, scg=FAST, master_seed=2)
@@ -182,6 +181,30 @@ class TestConcurrentCycles:
             genome_for([0, 1], [(3, TANH)]))
         assert threads == [threading.get_ident()]
 
+    def test_start_without_workers_trains_when_evaluate_collects(self, splits, monkeypatch):
+        threads = self.counting_trainer(monkeypatch)
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST))
+        genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
+        problem.start(genomes)
+        assert threads == []
+        problem.evaluate(genomes[1])
+        assert threads == [threading.get_ident()] * 2
+
+    def test_queued_genomes_hold_no_copy_of_the_training_matrix(self):
+        splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST))
+        rng = np.random.default_rng(0)
+        genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            problem.start(genomes[:200])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(problem._started) == 200
+        assert grown < splits.d_train.features.nbytes
+
     def test_concurrent_trainings_equal_their_serial_twins(self, splits):
         # same shapes on purpose: buffers shared by shape would mix the runs
         x, y = splits.d_train.features, splits.d_train.labels
@@ -234,7 +257,7 @@ class TestTrainingWorkers:
             problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST),
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
-            moea._evaluate_batch(problem, [string_to_bits(b) for b in self.GENOMES], cap=10)
+            moea._evaluate_batch(problem, self.GENOMES, cap=10)
         assert pids == [os.getpid()] * (2 * len(self.GENOMES))
 
     @pytest.mark.parametrize("in_workers", [False, True], ids=["inline", "workers"])
