@@ -32,7 +32,8 @@ worker fails the step as it would inline (exit 2).
 ``ingest`` prints each split's up days (label 1) and their share, and warns
 when a split holds one class only. ``ingest`` and ``search`` read
 ``--config FILE`` (JSON, or TOML for a ``.toml`` name) as their defaults,
-keyed by option name; explicit flags override the file.
+keyed by option name; explicit flags override the file, and a file value
+that the option's type refuses is a validation error.
 """
 
 from __future__ import annotations
@@ -76,12 +77,23 @@ def _parse_with_config(argv, args: argparse.Namespace) -> argparse.Namespace:
     """``argv`` parsed again with the ``--config`` file's values as the subcommand's defaults.
 
     Explicit flags override the file; a key that names no option of the
-    subcommand is ignored.
+    subcommand, or whose value is null, is ignored. A value of an option
+    that is not a flag reaches argparse as text, so the option's type parses
+    it as it would the flag's (``{"bars": 300.7}`` is refused like
+    ``--bars 300.7``), and a value it refuses is a validation error that
+    names the option.
     """
     options = set(vars(args)) - {"command", "func", "verbose"}
-    file_cfg = {key.replace("-", "_"): value
-                for key, value in _load_config_file(args.config).items()}
-    return build_parser({k: v for k, v in file_cfg.items() if k in options}).parse_args(argv)
+    defaults = {}
+    for key, value in _load_config_file(args.config).items():
+        key = key.replace("-", "_")
+        if key in options and value is not None:
+            as_is = isinstance(value, str) or isinstance(getattr(args, key), bool)
+            defaults[key] = value if as_is else str(value)
+    try:
+        return build_parser(defaults).parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file {args.config}: {exc}") from None
 
 
 def _parse_boundaries(text: str) -> SplitSpec:
@@ -322,13 +334,19 @@ def cmd_export(args) -> int:
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser; ``config`` holds the defaults of the subcommands that take ``--config``."""
+    """The argument parser; ``config`` holds the defaults of the subcommands that take ``--config``.
+
+    A parser built with ``config`` raises ``argparse.ArgumentError`` on a
+    default its option's type refuses, instead of exiting.
+    """
+    exits = config is None
     parser = argparse.ArgumentParser(prog="coevonet", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+                                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     exit_on_error=exits)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="build and cache dataset splits")
+    p = sub.add_parser("ingest", help="build and cache dataset splits", exit_on_error=exits)
     p.add_argument("--csv", default=None, help="OHLCV csv path")
     p.add_argument("--synthetic", action="store_true", help="generate planted synthetic data")
     p.add_argument("--seed", type=int, default=7)
@@ -340,7 +358,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON/TOML config file")
     p.set_defaults(func=cmd_ingest, **(config or {}))
 
-    p = sub.add_parser("search", help="run a multi-seed architecture search")
+    p = sub.add_parser("search", help="run a multi-seed architecture search",
+                       exit_on_error=exits)
     p.add_argument("--data", required=True)
     p.add_argument("--algo", default="nsga2", choices=list(runner.ALGORITHMS))
     p.add_argument("--fe", type=int, default=2000, help="function-evaluation budget per run")

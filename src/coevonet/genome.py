@@ -139,10 +139,6 @@ def complexity_of(n_selected: int, topology: Topology,
     return (feature_term + layer_term + size_term) / 3.0
 
 
-def complexity(arch: Architecture, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> float:
-    return complexity_of(len(arch.feature_indices), arch.topology, cfg)
-
-
 def repair_feature_prefix(bits: np.ndarray, cfg: SearchSpaceConfig,
                           rng: np.random.Generator) -> np.ndarray:
     """Set one random feature bit if the prefix is all zero (in place)."""

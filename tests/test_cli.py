@@ -247,7 +247,8 @@ def _ingested(out: Path) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("name, text", [("c.json", '{"bars": 300, "seed": 3}'),
-                                        ("c.toml", "bars = 300\nseed = 3\n")])
+                                        ("c.toml", "bars = 300\nseed = 3\n"),
+                                        ("c.json", '{"bars": 300, "seed": 3, "noise": null}')])
 def test_config_file_sets_the_defaults(tmp_path, name, text):
     (tmp_path / name).write_text(text)
     assert cli.main(["ingest", "--synthetic", "--config", str(tmp_path / name),
@@ -261,6 +262,20 @@ def test_explicit_flags_beat_the_config_file(tmp_path):
     assert cli.main(["ingest", "--synthetic", "--config", str(tmp_path / "c.json"),
                      "--seed", "7", "--bars", "310", "--out", str(tmp_path / "data")]) == 0
     assert _ingested(tmp_path / "data") == (310, 7)
+
+
+@pytest.mark.parametrize("argv, text, option", [
+    (["ingest", "--synthetic"], '{"bars": 300.7}', "--bars"),
+    (["ingest", "--synthetic"], '{"bars": "abc"}', "--bars"),
+    (["search", "--data", "absent"], '{"fe": 1.5}', "--fe"),
+])
+def test_config_value_the_option_refuses_is_a_validation_error(tmp_path, capsys, argv, text,
+                                                                option):
+    (tmp_path / "c.json").write_text(text)
+    assert cli.main(argv + ["--config", str(tmp_path / "c.json"),
+                            "--out", str(tmp_path / "out")]) == 1
+    assert f"argument {option}: invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_only_a_multi_cycle_search_forks_training_workers(sessions, tmp_path, monkeypatch):

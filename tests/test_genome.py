@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import random_genome
 from coevonet.genome import (
-    Architecture, GenomeError, SearchSpaceConfig, bits_to_string, complexity,
-    complexity_of, decode, decode_layer_block, encode, repair_feature_prefix, string_to_bits,
+    Architecture, GenomeError, SearchSpaceConfig, bits_to_string, complexity_of, decode,
+    decode_layer_block, encode, repair_feature_prefix, string_to_bits,
 )
 from coevonet.neural import ActivationKind, Topology
 
@@ -121,7 +121,7 @@ class TestComplexity:
     def test_bounds_and_uniqueness_of_mother(self, seed):
         rng = np.random.default_rng(seed)
         arch = decode(random_genome(CFG, rng), CFG)
-        c = complexity(arch, CFG)
+        c = complexity_of(len(arch.feature_indices), arch.topology, CFG)
         assert 0.0 < c <= 1.0
         is_mother = (len(arch.feature_indices) == 68
                      and [s for s, _ in arch.topology.layers] == [127, 127])

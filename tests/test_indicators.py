@@ -178,6 +178,19 @@ class TestMatrix:
         part = compute_matrix(truncated(s, 100))
         assert np.array_equal(full[:part.shape[0]], part)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=ohlcv_seeds(), n_bars=st.integers(41, 130),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_every_column_is_causal_bit_for_bit(self, seed, n_bars, cuts):
+        # synth.synth_generate solves the planted walk as a fixed point and relies on this
+        s = random_walk_series(n_bars, seed=seed)
+        ts = sorted({int(c * (n_bars - 1)) for c in cuts} | {n_bars - 2})
+        for iid in default_catalog():
+            full = compute_column(s, iid)
+            for t in ts:
+                prefix = compute_column(truncated(s, t + 1), iid)
+                assert full[:t + 1].tobytes() == prefix.tobytes(), (iid.label(), t)
+
     def test_matrix_matches_per_feature_calls(self):
         s = random_walk_series(70, seed=41)
         cat = default_catalog()
