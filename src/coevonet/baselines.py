@@ -303,14 +303,7 @@ def rule_of_thumb(rule: str, n_features: int | None = None, n_classes: int | Non
 
 def reduce_splits(splits: DatasetSplits, reduction: ReductionResult) -> DatasetSplits:
     """Apply a fitted reduction to every split (hold stays sealed)."""
-    def conv(ps: PatternSet) -> PatternSet:
-        return ps.with_features(reduction.apply(ps._features))
-
-    return DatasetSplits(
-        d_pr=conv(splits.d_pr), d_train=conv(splits.d_train),
-        d_test=conv(splits.d_test), d_hold=conv(splits.d_hold),
-        spec=splits.spec,
-    )
+    return splits.map(reduction.apply)
 
 
 @dataclass

@@ -113,10 +113,10 @@ def cmd_ingest(args) -> int:
         (out / "truth.json").write_text(truth.to_json())
     elif args.csv:
         series = market_data.load_ohlcv_csv(args.csv)
-        split = _parse_boundaries(args.boundaries) if args.boundaries else SplitSpec.default()
+        split = SplitSpec.default()
     else:
         raise MarketDataError("ingest needs --csv PATH or --synthetic")
-    if args.synthetic and args.boundaries:
+    if args.boundaries:
         split = _parse_boundaries(args.boundaries)
     patterns = market_data.build_patterns(series)
     try:
@@ -126,13 +126,13 @@ def cmd_ingest(args) -> int:
             f"{exc}; the series runs from {series.dates[0]} to {series.dates[-1]}, so pass "
             "--boundaries with five dates inside it (a synthetic dataset lists its windows "
             "in splits/manifest.json)") from exc
-    standardized, standardizer = market_data.standardize_splits(splits)
+    standardized, standardization = market_data.standardize_splits(splits)
     cfg_hash = runner.config_hash({
         "command": "ingest", "csv": str(args.csv), "synthetic": args.synthetic,
         "seed": args.seed, "noise": args.noise, "bars": args.bars,
         "boundaries": split.to_json_dict(),
     })
-    market_data.save_splits(standardized, out / "splits", standardizer,
+    market_data.save_splits(standardized, out / "splits", standardization,
                             extra_manifest={"config_hash": cfg_hash,
                                             "master_seed": args.seed})
     (out / "catalog.json").write_text(indicators.catalog_to_json())
@@ -190,11 +190,12 @@ def _described_archive(run_dir):
 
 def _preference_from_args(args) -> tuple[PreferenceSpec, str]:
     if args.rank:
-        pairs = dict(kv.split("=") for kv in args.rank.split(","))
         try:
+            pairs = dict(kv.split("=") for kv in args.rank.split(","))
             rankings = (int(pairs["cv"]), int(pairs["c"]), int(pairs["pr"]))
-        except KeyError as exc:
-            raise DecisionError("--rank needs cv=..,c=..,pr=..") from exc
+        except (ValueError, KeyError) as exc:
+            raise DecisionError(f"--rank {args.rank!r}: expected cv=..,c=..,pr=.. with "
+                                "integer ranks, such as cv=1,c=2,pr=3") from exc
         return PreferenceSpec(rankings, float(args.intensity)), args.preset_name or "custom"
     name = args.preset or "O2"
     return PreferenceSpec.preset(name), name
@@ -276,8 +277,11 @@ def cmd_stats(args) -> int:
         header = next(reader)
         methods = header[1:] if args.table_has_index else header
         data = []
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
             values = row[1:] if args.table_has_index else row
+            if len(values) != len(methods):
+                raise StatsError(f"{args.table}: row {i} has {len(values)} values, "
+                                 f"but the header names {len(methods)} methods")
             data.append([float(v) for v in values])
     table = np.asarray(data)
     fr = friedman_ranks(table, higher_is_better=not args.lower_is_better)

@@ -1,8 +1,11 @@
 """Daily OHLCV ingestion, sliding-window pattern construction, and date splits.
 
-The data flow is: CSV -> OhlcvSeries -> PatternSet (one row per trading day,
-labelled with the next day's close direction) -> DatasetSplits (four disjoint
-date windows) -> per-column standardization fitted on the training window only.
+The data flow is one series -> patterns -> splits -> ``map``. An OhlcvSeries,
+read from a CSV or generated, checks every bar when it is built. A PatternSet
+has one row per trading day, labelled with the next day's close direction.
+DatasetSplits cuts it into four disjoint date windows, and its ``map``
+transforms every window's features alike: standardization fitted on the
+training window only, or an a-priori reduction.
 
 The final window (``d_hold``) is sealed at construction: reading its feature
 or label arrays raises :class:`HoldoutAccessError` until a caller explicitly
@@ -35,30 +38,15 @@ class HoldoutAccessError(RuntimeError):
     """A sealed hold-out pattern set was read without being opened."""
 
 
-@dataclass(frozen=True)
-class OhlcvBar:
-    """One trading day of open/high/low/close prices and volume."""
-
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def validate(self) -> None:
-        if self.high < self.low:
-            raise MarketDataError(f"{self.day}: high {self.high} below low {self.low}")
-        if self.low > min(self.open, self.close):
-            raise MarketDataError(f"{self.day}: low {self.low} above open/close")
-        if self.high < max(self.open, self.close):
-            raise MarketDataError(f"{self.day}: high {self.high} below open/close")
-        if self.volume < 0:
-            raise MarketDataError(f"{self.day}: negative volume {self.volume}")
+_CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
 
 class OhlcvSeries:
-    """Ordered daily bars stored as read-only numpy columns."""
+    """Ordered daily bars stored as read-only numpy columns.
+
+    Construction checks every bar: all values finite, high >= low, low <= min(open,
+    close), high >= max(open, close), volume >= 0; an error names the first bad bar's date.
+    """
 
     def __init__(self, dates, opens, highs, lows, closes, volumes):
         self.dates = np.asarray(dates, dtype="datetime64[D]")
@@ -68,45 +56,44 @@ class OhlcvSeries:
         self.close = np.asarray(closes, dtype=float)
         self.volume = np.asarray(volumes, dtype=float)
         n = len(self.dates)
-        for arr in (self.open, self.high, self.low, self.close, self.volume):
+        values = (self.open, self.high, self.low, self.close, self.volume)
+        for arr in values:
             if len(arr) != n:
                 raise MarketDataError("OHLCV columns have inconsistent lengths")
         if n == 0:
             raise MarketDataError("empty OHLCV series")
         if np.any(np.diff(self.dates).astype(int) <= 0):
             raise MarketDataError("dates must be strictly increasing (no duplicates)")
-        for arr in (self.dates, self.open, self.high, self.low, self.close, self.volume):
+        finite = np.isfinite(values)
+        bad = np.array([
+            ~finite.all(axis=0),
+            self.high < self.low,
+            self.low > np.minimum(self.open, self.close),
+            self.high < np.maximum(self.open, self.close),
+            self.volume < 0,
+        ])
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            j = int(np.argmin(finite[:, i]))
+            h, lo, v = self.high[i], self.low[i], self.volume[i]
+            messages = (f"non-finite {_CSV_COLUMNS[j + 1]} {values[j][i]}",
+                        f"high {h} below low {lo}", f"low {lo} above open/close",
+                        f"high {h} below open/close", f"negative volume {v}")
+            raise MarketDataError(f"{self.dates[i]}: {messages[int(np.argmax(bad[:, i]))]}")
+        for arr in (self.dates, *values):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_bars(cls, bars: list[OhlcvBar]) -> "OhlcvSeries":
-        if not bars:
-            raise MarketDataError("empty OHLCV series")
-        bars = sorted(bars, key=lambda b: b.day)
-        for b in bars:
-            b.validate()
-        return cls(
-            [b.day for b in bars],
-            [b.open for b in bars],
-            [b.high for b in bars],
-            [b.low for b in bars],
-            [b.close for b in bars],
-            [b.volume for b in bars],
-        )
 
     def __len__(self) -> int:
         return len(self.dates)
-
-
-_CSV_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
 
 def load_ohlcv_csv(path) -> OhlcvSeries:
     """Load a Date,Open,High,Low,Close,Volume CSV (case-insensitive header).
 
     Rows may appear in any order on disk; the returned series is sorted by
-    date. Malformed rows raise :class:`MarketDataError` naming the line,
-    bar-level invariant violations name the offending date.
+    date. The whole file is parsed first: a malformed row raises
+    :class:`MarketDataError` naming its line, and only then are the bars
+    checked, where an error names the offending date.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -117,29 +104,21 @@ def load_ohlcv_csv(path) -> OhlcvSeries:
             raise MarketDataError(f"{path}: empty file") from None
         names = [h.strip().lower() for h in header]
         try:
-            cols = {c: names.index(c) for c in _CSV_COLUMNS}
+            cols = [names.index(c) for c in _CSV_COLUMNS]
         except ValueError as exc:
             raise MarketDataError(f"{path}: header must name {_CSV_COLUMNS}, got {header}") from exc
-        bars = []
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                bar = OhlcvBar(
-                    day=date.fromisoformat(row[cols["date"]].strip()),
-                    open=float(row[cols["open"]]),
-                    high=float(row[cols["high"]]),
-                    low=float(row[cols["low"]]),
-                    close=float(row[cols["close"]]),
-                    volume=float(row[cols["volume"]]),
-                )
+                rows.append((date.fromisoformat(row[cols[0]].strip()),
+                             *(float(row[j]) for j in cols[1:])))
             except (ValueError, IndexError) as exc:
                 raise MarketDataError(f"{path}: line {lineno}: cannot parse row: {exc}") from exc
-            bar.validate()
-            bars.append(bar)
-    if not bars:
+    if not rows:
         raise MarketDataError(f"{path}: no data rows")
-    return OhlcvSeries.from_bars(bars)
+    return OhlcvSeries(*zip(*sorted(rows)))
 
 
 class PatternSet:
@@ -194,16 +173,6 @@ class PatternSet:
     def opened(self) -> "PatternSet":
         """Unsealed view sharing the same arrays."""
         return PatternSet(self._features, self._labels, self._dates, sealed=False)
-
-    def with_features(self, features, sealed=None) -> "PatternSet":
-        return PatternSet(
-            features, self._labels, self._dates,
-            sealed=self.sealed if sealed is None else sealed,
-        )
-
-    def restrict(self, rows) -> "PatternSet":
-        return PatternSet(self._features[rows], self._labels[rows], self._dates[rows],
-                          sealed=self.sealed)
 
 
 def build_patterns(series: OhlcvSeries, catalog=None, warmup: int = WARMUP_BARS) -> PatternSet:
@@ -295,6 +264,12 @@ class DatasetSplits:
             "test": self.d_test.n, "hold": self.d_hold.n,
         }
 
+    def map(self, fn) -> "DatasetSplits":
+        """``fn`` applied to every feature matrix, read past the seal; the spec and seals stay."""
+        return DatasetSplits(*(PatternSet(fn(ps._features), ps._labels, ps._dates, ps.sealed)
+                               for ps in (self.d_pr, self.d_train, self.d_test, self.d_hold)),
+                             self.spec)
+
     def open_holdout(self) -> PatternSet:
         """Explicitly unseal the hold-out split for final reporting."""
         logger.info("hold-out split opened for evaluation (%d patterns)", self.d_hold.n)
@@ -315,79 +290,30 @@ def split_by_dates(patterns: PatternSet, spec: SplitSpec) -> DatasetSplits:
     dropped = int((~assigned).sum())
     if dropped:
         logger.info("split_by_dates: %d patterns outside all ranges were dropped", dropped)
-    splits = DatasetSplits(
-        d_pr=patterns.restrict(parts["pr"]),
-        d_train=patterns.restrict(parts["train"]),
-        d_test=patterns.restrict(parts["test"]),
-        d_hold=PatternSet(patterns.features[parts["hold"]],
-                          patterns.labels[parts["hold"]],
-                          dates[parts["hold"]], sealed=True),
-        spec=spec,
-    )
+    splits = DatasetSplits(*(PatternSet(patterns.features[rows], patterns.labels[rows],
+                                        dates[rows], sealed=name == "hold")
+                             for name, rows in parts.items()), spec)
     logger.info("split sizes: %s (dropped %d)", splits.counts, dropped)
     return splits
 
 
-class Standardizer:
-    """Column-wise (x - mean) / sd with sample (n-1) standard deviation.
+def standardize_splits(splits: DatasetSplits) -> tuple[DatasetSplits, dict]:
+    """Standardize all four splits by column moments of d_train only (no leakage).
 
-    Zero-variance columns on the fit split pass through unscaled and are
-    recorded in ``constant_columns``.
+    Returns them with ``{"mean", "scale", "constant_columns"}``: each column's mean and
+    sample (n-1) sd; a zero-variance column passes through with mean 0 and scale 1.
     """
-
-    def __init__(self):
-        self.mean_ = None
-        self.scale_ = None
-        self.constant_columns: tuple[int, ...] = ()
-
-    @property
-    def fitted(self) -> bool:
-        return self.mean_ is not None
-
-    def fit(self, train: PatternSet) -> "Standardizer":
-        x = train.features
-        self.mean_ = x.mean(axis=0)
-        sd = x.std(axis=0, ddof=1)
-        constant = sd == 0.0
-        self.constant_columns = tuple(int(i) for i in np.flatnonzero(constant))
-        if self.constant_columns:
-            logger.warning("standardizer: %d constant columns passed through: %s",
-                           len(self.constant_columns), self.constant_columns)
-        scale = sd.copy()
-        scale[constant] = 1.0
-        mean = self.mean_.copy()
-        mean[constant] = 0.0
-        self.mean_, self.scale_ = mean, scale
-        return self
-
-    def apply(self, patterns: PatternSet) -> PatternSet:
-        if not self.fitted:
-            raise MarketDataError("standardizer used before fit")
-        # direct array access keeps a sealed split sealed through the transform
-        x = (patterns._features - self.mean_) / self.scale_
-        return patterns.with_features(x)
-
-    def to_json_dict(self):
-        return {
-            "mean": self.mean_.tolist(),
-            "scale": self.scale_.tolist(),
-            "constant_columns": list(self.constant_columns),
-        }
-
-
-def standardize_splits(splits: DatasetSplits) -> tuple[DatasetSplits, Standardizer]:
-    """Fit on d_train only, transform all four splits (no leakage)."""
-    s = Standardizer().fit(splits.d_train)
-    return (
-        DatasetSplits(
-            d_pr=s.apply(splits.d_pr),
-            d_train=s.apply(splits.d_train),
-            d_test=s.apply(splits.d_test),
-            d_hold=s.apply(splits.d_hold),
-            spec=splits.spec,
-        ),
-        s,
-    )
+    x = splits.d_train.features
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0, ddof=1)
+    constant = scale == 0.0
+    mean[constant], scale[constant] = 0.0, 1.0
+    constant_columns = [int(i) for i in np.flatnonzero(constant)]
+    if constant_columns:
+        logger.warning("standardize: %d constant columns passed through: %s",
+                       len(constant_columns), tuple(constant_columns))
+    return (splits.map(lambda features: (features - mean) / scale),
+            {"mean": mean.tolist(), "scale": scale.tolist(), "constant_columns": constant_columns})
 
 
 _SPLIT_FILES = {"pr": "pr.csv", "train": "train.csv", "test": "test.csv", "hold": "hold.csv"}
@@ -399,9 +325,12 @@ def label_balance(splits: DatasetSplits) -> dict[str, tuple[int, int]]:
     return {name: (int(ps._labels.sum()), ps.n) for name, ps in sets.items()}
 
 
-def save_splits(splits: DatasetSplits, out_dir, standardizer: Standardizer | None = None,
+def save_splits(splits: DatasetSplits, out_dir, standardization: dict | None = None,
                 extra_manifest: dict | None = None) -> Path:
-    """Write the four splits as CSV plus a JSON manifest."""
+    """Write the four splits as CSV plus a JSON manifest.
+
+    ``standardization`` is the dict :func:`standardize_splits` returns.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, fname in _SPLIT_FILES.items():
@@ -416,7 +345,7 @@ def save_splits(splits: DatasetSplits, out_dir, standardizer: Standardizer | Non
         "splits": splits.spec.to_json_dict(),
         "counts": splits.counts,
         "n_features": splits.d_train.n_features,
-        "standardizer": standardizer.to_json_dict() if standardizer else None,
+        "standardizer": standardization,
     }
     manifest.update(extra_manifest or {})
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

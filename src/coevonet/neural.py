@@ -20,13 +20,12 @@ order as the allocating path that ``TrainedModel.scores`` uses, so results
 are bit-identical. The buffers belong to one training, so trainings can run
 on several threads at once.
 
-``scg_train`` always runs in the caller's process. On a thread that
-``train_in_processes`` gave a process pool, only the minimization
-(``_minimize``) runs in a worker process of that pool: the thread sends the
-initial weights and the patterns, waits, and builds the model from the
-returned weights. A worker forked from the caller computes the same bits,
-and an exception raised there, a warning turned into an error included,
-surfaces from ``scg_train``.
+``scg_train`` always runs in the caller's process. Given a pool of worker
+``processes``, only the minimization (``_minimize``) runs in one of them:
+the caller sends the initial weights and the patterns, waits, and builds the
+model from the returned weights. A worker forked from the caller computes
+the same bits, and an exception raised there, a warning turned into an
+error included, surfaces from ``scg_train``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,23 +309,12 @@ def _minimize(theta0, sizes, activations, x, y_onehot, cfg: ScgConfig):
     return _scg_minimize(theta0, _CrossEntropy(sizes, activations, x, y_onehot), cfg)
 
 
-#: Per thread: the process pool that runs the minimization of this thread's
-#: ``scg_train`` calls. A thread without one trains inline.
-_thread = threading.local()
-
-
-def train_in_processes(pool) -> None:
-    """Run the minimization of this thread's later ``scg_train`` calls on ``pool``.
-
-    ``pool`` is a ``concurrent.futures`` executor of worker processes; this
-    is the initializer of the threads that wait on them.
-    """
-    _thread.processes = pool
-
-
 def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
-              cfg: ScgConfig, seed: int) -> TrainedModel:
-    """Train on patterns whose columns are already restricted to the model inputs."""
+              cfg: ScgConfig, seed: int, processes=None) -> TrainedModel:
+    """Train on patterns whose columns are already restricted to the model inputs.
+
+    The minimization runs on ``processes``, an executor of worker processes, if given.
+    """
     if x.shape[0] == 0:
         raise ValueError("empty training set")
     n_inputs = x.shape[1]
@@ -337,7 +324,6 @@ def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
     y_onehot[:, 0] = y == 1
     y_onehot[:, 1] = y == 0
     job = (_flatten(init_weights(topology, n_inputs, seed)), sizes, activations, x, y_onehot, cfg)
-    processes = getattr(_thread, "processes", None)
     theta, loss, iters, aborted = (_minimize(*job) if processes is None
                                    else processes.submit(_minimize, *job).result())
     if aborted:

@@ -12,9 +12,9 @@ genomes and queues every cycle of every fresh one; ``evaluate`` runs once
 per genome, in the caller's order, on the caller's thread, starts the
 genome if nothing did, and collects its cycles' score rows in cycle order.
 With ``TrainingWorkers`` a queued cycle is already running: a waiting
-thread calls ``neural.scg_train`` (whose minimization runs in a worker
-process) and scores the model in this process, and collecting waits for
-it. Without workers a queued cycle is a pending call, which collecting
+thread calls ``neural.scg_train`` with the worker processes, which run its
+minimization, and scores the model in this process, and collecting waits
+for it. Without workers a queued cycle is a pending call, which collecting
 makes on the calling thread. Each cycle's seed depends only on (master
 seed, bits, k), so a record does not depend on the workers or the core
 count, and the cache, the FE count and the trace log behave the same.
@@ -140,10 +140,9 @@ class TrainingWorkers:
     Creating it forks one process per usable core, before any thread exists
     to wait on one; a forked worker inherits the loaded program, its data
     and the caller's warning filters. Its threads call ``neural.scg_train``
-    with the workers set by ``neural.train_in_processes``, so the process
-    that owns them still makes every ``scg_train`` call. ``close`` (or
-    leaving the ``with`` block) cancels what has not started and joins every
-    process and thread. On Linux a worker also ends when the thread that
+    with ``processes``, so the process that owns them still makes every
+    ``scg_train`` call. ``close`` (or leaving the ``with`` block) cancels
+    what has not started and joins every process and thread. On Linux a worker also ends when the thread that
     created this object does, so create it on the thread that uses it.
     """
 
@@ -153,18 +152,16 @@ class TrainingWorkers:
         from concurrent.futures import ProcessPoolExecutor
 
         cores = usable_cores()
-        self._processes = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
-                                              initializer=_end_with_parent,
-                                              initargs=(os.getpid(),))
+        self.processes = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_end_with_parent,
+                                             initargs=(os.getpid(),))
         try:
-            self._processes.submit(int).result()    # a fork pool forks every worker at once
+            self.processes.submit(int).result()    # a fork pool forks every worker at once
         except BaseException:
-            self._processes.shutdown()
+            self.processes.shutdown()
             raise
         # two waiting threads per worker keep a next training queued
-        self._waiters = ThreadPoolExecutor(2 * cores, thread_name_prefix="coevonet-train",
-                                           initializer=neural.train_in_processes,
-                                           initargs=(self._processes,))
+        self._waiters = ThreadPoolExecutor(2 * cores, thread_name_prefix="coevonet-train")
 
     def submit(self, fn, *args):
         """Run ``fn(*args)`` on a waiting thread; returns its future."""
@@ -174,7 +171,7 @@ class TrainingWorkers:
         # drop queued cycles first, so that no waiting thread sends one after
         # the processes are gone
         self._waiters.shutdown(wait=False, cancel_futures=True)
-        self._processes.shutdown(cancel_futures=True)
+        self.processes.shutdown(cancel_futures=True)
         self._waiters.shutdown()
 
     def __enter__(self):
@@ -241,7 +238,8 @@ class _EvaluationProblem:
                 ks = range(1, self.cfg.cycles + 1)
                 self._started[bits_str] = c, (
                     [functools.partial(one_cycle, k) for k in ks] if self._workers is None
-                    else [self._workers.submit(one_cycle, k).result for k in ks])
+                    else [self._workers.submit(one_cycle, k, self._workers.processes).result
+                          for k in ks])
 
     def evaluate(self, bits_str: str) -> EvalRecord:
         hit = self.cache.get(bits_str)
@@ -261,18 +259,20 @@ class _EvaluationProblem:
     def _cycle_trainer(self, bits_str: str):
         """The genome's complexity, and the function that trains and scores its cycle k.
 
-        A cycle's row is ``split_scores`` on d_test, then on d_pr. The cycle
-        slices its training inputs when it runs, so a queue of many genomes
-        holds no copies of the training matrix.
+        The function trains on the worker ``processes`` it is given, else
+        inline. A cycle's row is ``split_scores`` on d_test, then on d_pr. The
+        cycle slices its training inputs when it runs, so a queue of many
+        genomes holds no copies of the training matrix.
         """
         columns, n_selected, topology = self.decode(bits_str)
         c = genome_mod.complexity_of(n_selected, topology, self.space)
 
-        def one_cycle(k):
+        def one_cycle(k, processes=None):
             train = self.splits.d_train
             x_train = train.features[:, columns] if columns is not None else train.features
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
-            model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed)
+            model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed,
+                                     processes=processes)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
                                k, bits_str[:16])

@@ -216,6 +216,24 @@ def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path
     assert "--boundaries" in err and "splits/manifest.json" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_ingest_csv_with_a_non_finite_value_names_the_bar(sessions, tmp_path, capsys, value):
+    lines = (sessions[0] / "data" / "ohlcv.csv").read_text().splitlines()
+    day, _, rest = lines[2].split(",", 2)
+    lines[2] = ",".join([day, value, rest])
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["ingest", "--csv", str(tmp_path / "bad.csv"),
+                     "--out", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == f"error: {day}: non-finite open {value}\n"
+
+
+@pytest.mark.parametrize("rank", ["cv=1,c", "cv=1,c=x,pr=3", "cv=1,c=2=3,pr=3", "cv=1,c=2"])
+def test_malformed_rank_is_a_validation_error(sessions, capsys, rank):
+    assert cli.main(["select", "--run", str(sessions[0] / "run"), "--rank", rank]) == 1
+    err = capsys.readouterr().err
+    assert f"--rank {rank!r}: expected cv=..,c=..,pr=.. with integer ranks" in err
+
+
 def test_ingest_reports_label_balance_and_warns_on_one_class(tmp_path, capsys, caplog):
     walk = random_walk_series(1300, 3, start="2016-06-01")
     rising = 100.0 * np.exp(0.002 * np.arange(len(walk)))   # every next close is higher
@@ -417,3 +435,11 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only a multi-cycle search needs it, and it costs every step time and memory
     assert _modules_loaded_by_cli_import("multiprocessing") == "[]"
+
+
+def test_stats_row_of_the_wrong_length_is_a_validation_error(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(STATS_TABLE.replace("r3,0.25,0.25,0.33,0.29", "r3,0.25,0.25,0.33"))
+    assert cli.main(["stats", "--table", str(table), "--table-has-index"]) == 1
+    err = capsys.readouterr().err
+    assert f"{table}: row 3 has 3 values, but the header names 4 methods" in err

@@ -6,7 +6,7 @@ from conftest import random_walk_series, truncated
 from coevonet import indicators
 from coevonet.market_data import (
     DatasetSplits, HoldoutAccessError, MarketDataError, OhlcvSeries, PatternSet,
-    SplitSpec, Standardizer, build_patterns, load_ohlcv_csv,
+    SplitSpec, build_patterns, load_ohlcv_csv,
     load_splits, save_splits, split_by_dates, standardize_splits,
 )
 
@@ -69,6 +69,56 @@ class TestLoadCsv:
         p = write_csv(tmp_path, ["2020-01-01,10,11,9,10.5,1000"],
                       header="DATE,open,High,LOW,Close,volume")
         assert len(load_ohlcv_csv(p)) == 1
+
+
+#: One bar breaking each series rule (open, high, low, close, volume), and the
+#: error it raises after the bar's date.
+BAD_BARS = {
+    "high below low": ((11, 10, 12, 11, 900), "high 10.0 below low 12.0"),
+    "low above open/close": ((10, 12, 10.5, 11, 900), "low 10.5 above open/close"),
+    "high below open/close": ((10, 11, 9, 11.5, 900), "high 11.0 below open/close"),
+    "negative volume": ((10, 11, 9, 10.5, -1), "negative volume -1.0"),
+    "nan open": ((float("nan"), 11, 9, 10.5, 900), "non-finite open nan"),
+    "inf high": ((10, float("inf"), 9, 10.5, 900), "non-finite high inf"),
+    "nan volume": ((10, 11, 9, 10.5, float("nan")), "non-finite volume nan"),
+}
+
+
+class TestSeriesChecks:
+    """Every series is checked bar by bar where it is built."""
+
+    GOOD = (10, 11, 9, 10.5, 1000)
+
+    @pytest.mark.parametrize("bar, message", BAD_BARS.values(), ids=BAD_BARS)
+    def test_built_directly(self, bar, message):
+        days = np.arange(np.datetime64("2020-02-03"), np.datetime64("2020-02-07"))
+        columns = np.array([self.GOOD, self.GOOD, bar, self.GOOD], dtype=float).T
+        with pytest.raises(MarketDataError, match=f"^2020-02-05: {message}$"):
+            OhlcvSeries(days, *columns)
+
+    @pytest.mark.parametrize("bar, message", BAD_BARS.values(), ids=BAD_BARS)
+    def test_read_from_csv(self, tmp_path, bar, message):
+        good = ",".join(map(str, self.GOOD))
+        p = write_csv(tmp_path, [f"2020-02-06,{good}", "2020-02-05," + ",".join(map(str, bar)),
+                                 f"2020-02-04,{good}"])
+        with pytest.raises(MarketDataError, match=f"^2020-02-05: {message}$"):
+            load_ohlcv_csv(p)
+
+    def test_first_bad_bar_is_named(self):
+        days = np.arange(np.datetime64("2020-02-03"), np.datetime64("2020-02-06"))
+        bars = [self.GOOD, (10, 11, 9, 10.5, -1), (11, 10, 12, 11, 900)]
+        with pytest.raises(MarketDataError, match="^2020-02-04: negative volume"):
+            OhlcvSeries(days, *np.array(bars, dtype=float).T)
+
+    def test_malformed_row_is_reported_before_a_bad_bar(self, tmp_path):
+        p = write_csv(tmp_path, ["2020-01-01,11,10,12,11,900", "2020-01-02,10,11,9"])
+        with pytest.raises(MarketDataError, match="line 3: cannot parse row"):
+            load_ohlcv_csv(p)
+
+    def test_columns_are_read_only(self):
+        s = random_walk_series(45, seed=2)
+        with pytest.raises(ValueError):
+            s.close[0] = 1.0
 
 
 class TestBuildPatterns:
@@ -157,28 +207,44 @@ class TestSplits:
         assert opened.features.shape[0] == opened.n
 
 
+def one_window_splits(x) -> DatasetSplits:
+    """The same patterns in all four windows, hold-out sealed."""
+    ps = PatternSet(x, np.arange(len(x)) % 2,
+                    np.arange(len(x)) + np.datetime64("2020-01-01"))
+    return DatasetSplits(ps, ps, ps, PatternSet(x, ps.labels, ps.dates, sealed=True),
+                         SplitSpec.default())
+
+
+class TestDatasetSplitsMap:
+    def test_keeps_spec_seal_labels_and_dates(self):
+        splits = one_window_splits(np.arange(6.0).reshape(3, 2))
+        mapped = splits.map(lambda x: x[:, :1] * 2.0)
+        assert mapped.spec == splits.spec
+        assert mapped.d_hold.sealed and not mapped.d_train.sealed
+        with pytest.raises(HoldoutAccessError):
+            _ = mapped.d_hold.features
+        for name in ("pr", "train", "test"):
+            ps = getattr(mapped, f"d_{name}")
+            assert np.array_equal(ps.features, [[0.0], [4.0], [8.0]])
+            assert np.array_equal(ps.labels, splits.d_train.labels)
+            assert np.array_equal(ps.dates, splits.d_train.dates)
+        assert np.array_equal(mapped.open_holdout().features, [[0.0], [4.0], [8.0]])
+
+
 class TestStandardizer:
     def test_hand_computed_column(self):
-        ps = PatternSet(np.array([[1.0], [2.0], [3.0]]), [0, 1, 0],
-                        np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-04")))
-        s = Standardizer().fit(ps)
-        out = s.apply(ps)
-        assert np.allclose(out.features[:, 0], [-1.0, 0.0, 1.0])
+        splits = one_window_splits(np.array([[1.0], [2.0], [3.0]]))
+        std, standardization = standardize_splits(splits)
+        assert np.allclose(std.d_train.features[:, 0], [-1.0, 0.0, 1.0])
+        assert standardization == {"mean": [2.0], "scale": [1.0], "constant_columns": []}
 
     def test_constant_column_passthrough_flagged(self):
         x = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
-        ps = PatternSet(x, [0, 1, 0, 1, 0],
-                        np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-06")))
-        s = Standardizer().fit(ps)
-        assert s.constant_columns == (0,)
-        out = s.apply(ps)
-        assert np.allclose(out.features[:, 0], 7.0)
-
-    def test_apply_before_fit(self):
-        ps = PatternSet(np.zeros((2, 1)), [0, 1],
-                        np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-03")))
-        with pytest.raises(MarketDataError):
-            Standardizer().apply(ps)
+        std, standardization = standardize_splits(one_window_splits(x))
+        assert standardization["constant_columns"] == [0]
+        assert (standardization["mean"][0], standardization["scale"][0]) == (0.0, 1.0)
+        assert np.allclose(std.d_train.features[:, 0], 7.0)
+        assert np.allclose(std.open_holdout().features[:, 0], 7.0)
 
     def test_train_moments_and_no_leakage(self):
         splits = split_by_dates(build_patterns(random_walk_series(1150, seed=17)),
@@ -196,10 +262,11 @@ class TestSplitsIO:
     def test_round_trip(self, tmp_path):
         splits = split_by_dates(build_patterns(random_walk_series(1150, seed=19)),
                                 SplitSpec.default())
-        std, standardizer = standardize_splits(splits)
-        save_splits(std, tmp_path / "splits", standardizer, extra_manifest={"x": 1})
+        std, standardization = standardize_splits(splits)
+        save_splits(std, tmp_path / "splits", standardization, extra_manifest={"x": 1})
         loaded, manifest = load_splits(tmp_path / "splits")
         assert manifest["x"] == 1
+        assert manifest["standardizer"] == standardization
         assert loaded.counts == std.counts
         assert np.allclose(loaded.d_train.features, std.d_train.features)
         assert loaded.d_hold.sealed

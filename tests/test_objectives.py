@@ -102,7 +102,7 @@ class TestEvaluate:
         assert (problem.fe_count, problem.cache_hits) == (1, 1)
 
     def test_aborted_cycle_scores_worst_case(self, splits, monkeypatch):
-        def fake_train(topology, x, y, cfg, seed):
+        def fake_train(topology, x, y, cfg, seed, processes=None):
             return neural.TrainedModel(topology, [], float("nan"), 0, aborted=True)
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
