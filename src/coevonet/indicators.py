@@ -6,9 +6,11 @@ defines genome bit order, so it is dumpable as JSON for auditing.
 
 Windowed families use only bars <= t; recursive families (ema, stoch_k,
 stoch_d, macd, atr) run their recursion from the start of the series, so a
-40-bar warm-up absorbs seed transients. Division guards: rsi with no down
-days -> 100 (no up days -> 0, flat -> 50); wr/stoch_k on a zero range -> 50;
-vr with no directional volume -> 0.5; ar/br on a zero denominator -> 1.
+40-bar warm-up absorbs seed transients. Division guards, all in ``_ratio``:
+rsi with no down days -> 100 (no up days -> 0, flat -> 50); wr/stoch_k on a
+zero range -> 50; vr with no directional volume -> 0.5; uo on a zero true
+range -> 0.5 per average; dis on a zero true range -> 0; ar/br on a zero
+denominator -> 1 (not den <= 0: br's is negative on a steady gap-up run).
 """
 
 from __future__ import annotations
@@ -141,6 +143,19 @@ def _prev_close(close: np.ndarray) -> np.ndarray:
     return prev
 
 
+def _ratio(num, den, fallback, defined=None) -> np.ndarray:
+    """num / den where ``defined`` (default den > 0) holds, else fallback; NaN where either is NaN."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(den > 0 if defined is None else defined, num / den, fallback)
+    out[np.isnan(num) | np.isnan(den)] = np.nan
+    return out
+
+
+def _window_extremes(s, period) -> tuple[np.ndarray, np.ndarray]:
+    """Highest high and lowest low over [t-period+1, t]."""
+    return _rolling(s.high, period, np.max), _rolling(s.low, period, np.min)
+
+
 def _true_range(high, low, close) -> np.ndarray:
     prev_close = _prev_close(close)
     return np.maximum(high, prev_close) - np.minimum(low, prev_close)
@@ -184,26 +199,18 @@ def _col_rsi(s, period):
     down_count = _rolling_sum(down, period)
     up_close = _rolling_sum(up * s.close, period)
     down_close = _rolling_sum(down * s.close, period)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg_up = np.where(up_count > 0, up_close / up_count, 0.0)
-        avg_down = np.where(down_count > 0, down_close / down_count, 0.0)
-        denom = avg_up + avg_down
-        # ratio first: avg_up / denom <= 1 exactly, so the result never exceeds 100
-        out = np.where(denom > 0, 100.0 * (avg_up / denom), 50.0)
-    out[np.isnan(up_count)] = np.nan
+    avg_up = _ratio(up_close, up_count, 0.0)
+    avg_down = _ratio(down_close, down_count, 0.0)
+    # ratio first: avg_up / (avg_up + avg_down) <= 1 exactly, so rsi never exceeds 100
+    out = 100.0 * _ratio(avg_up, avg_up + avg_down, 0.5)
     if len(out) >= period:
         out[period - 1] = np.nan  # first window needs a prior close for every day
     return out
 
 
 def _fast_k(s, period):
-    hh = _rolling(s.high, period, np.max)
-    ll = _rolling(s.low, period, np.min)
-    rng = hh - ll
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fast = np.where(rng > 0, 100.0 * (s.close - ll) / rng, 50.0)
-    fast[np.isnan(hh)] = np.nan
-    return fast
+    hh, ll = _window_extremes(s, period)
+    return _ratio(100.0 * (s.close - ll), hh - ll, 50.0)
 
 
 def _col_stoch_k(s, period):
@@ -219,13 +226,8 @@ def _col_macd(s, period):
 
 
 def _col_wr(s, period):
-    hh = _rolling(s.high, period, np.max)
-    ll = _rolling(s.low, period, np.min)
-    rng = hh - ll
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(rng > 0, 100.0 * (hh - s.close) / rng, 50.0)
-    out[np.isnan(hh)] = np.nan
-    return out
+    hh, ll = _window_extremes(s, period)
+    return _ratio(100.0 * (hh - s.close), hh - ll, 50.0)
 
 
 def _col_psy(s, period):
@@ -251,10 +253,7 @@ def _col_dis(s, period, sign):
     dm = np.full(len(prices), np.nan)
     dm[period:] = (prices[period:] - prices[:-period]) / period
     trs = _rolling_mean(_true_range(s.high, s.low, s.close), period)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(trs > 0, 100.0 * dm / trs, 0.0)
-    out[np.isnan(dm) | np.isnan(trs)] = np.nan
-    return out
+    return _ratio(100.0 * dm, trs, 0.0)
 
 
 def _col_bias(s, period):
@@ -266,32 +265,22 @@ def _col_vr(s, period):
     up, down = _updown_flags(s.close)
     uv = _rolling_sum(up * s.volume, period)
     dv = _rolling_sum(down * s.volume, period)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = uv + dv
-        out = np.where(denom > 0, uv / denom, 0.5)
-    out[np.isnan(uv)] = np.nan
+    out = _ratio(uv, uv + dv, 0.5)
     if len(out) >= period:
         out[period - 1] = np.nan
     return out
 
 
-def _ratio_guard(num_sum, den_sum):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den_sum != 0, num_sum / den_sum, 1.0)
-    out[np.isnan(num_sum) | np.isnan(den_sum)] = np.nan
-    return out
-
-
 def _col_ar(s, period):
-    return _ratio_guard(_rolling_sum(s.high - s.open, period),
-                        _rolling_sum(s.open - s.low, period))
+    den = _rolling_sum(s.open - s.low, period)
+    return _ratio(_rolling_sum(s.high - s.open, period), den, 1.0, defined=den != 0)
 
 
 def _col_br(s, period):
     prev_close = _prev_close(s.close)
     num = _rolling_sum(s.high - prev_close, period)
     den = _rolling_sum(prev_close - s.low, period)
-    out = _ratio_guard(num, den)
+    out = _ratio(num, den, 1.0, defined=den != 0)
     if len(out) >= period:
         out[period - 1] = np.nan  # first window lacks a prior close for day 0
     return out
@@ -334,19 +323,10 @@ def _col_roc(s, period):
 
 
 def _col_uo(s, x, y, z):
-    prev_close = _prev_close(s.close)
-    bp = s.close - np.minimum(s.low, prev_close)
-    tr = np.maximum(s.high, prev_close) - np.minimum(s.low, prev_close)
-
-    def avg(p):
-        num = _rolling_sum(bp, p)
-        den = _rolling_sum(tr, p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(den > 0, num / den, 0.5)
-        out[np.isnan(num)] = np.nan
-        return out
-
-    return (100.0 / 7.0) * (4.0 * avg(x) + 2.0 * avg(y) + avg(z))
+    bp = s.close - np.minimum(s.low, _prev_close(s.close))
+    tr = _true_range(s.high, s.low, s.close)
+    ax, ay, az = (_ratio(_rolling_sum(bp, p), _rolling_sum(tr, p), 0.5) for p in (x, y, z))
+    return (100.0 / 7.0) * (4.0 * ax + 2.0 * ay + az)
 
 
 def _col_ulcer(s, period):
@@ -357,7 +337,7 @@ def _col_ulcer(s, period):
     acc = np.zeros(n)
     count = np.zeros(n)
     for k in range(1, period + 1):
-        hh_k = _shift(_rolling(s.high, k, np.max), 1)
+        hh_k = _col_hh(s, k)
         with np.errstate(invalid="ignore"):
             r = 100.0 * (s.close - hh_k) / hh_k
         valid = ~np.isnan(r)
