@@ -11,6 +11,8 @@ rsi with no down days -> 100 (no up days -> 0, flat -> 50); wr/stoch_k on a
 zero range -> 50; vr with no directional volume -> 0.5; uo on a zero true
 range -> 0.5 per average; dis on a zero true range -> 0; ar/br on a zero
 denominator -> 1 (not den <= 0: br's is negative on a steady gap-up run).
+rsi, wr and fast %K scale a ratio x / y with 0 <= x <= y (a close lies within
+its bar), which rounds to at most 1, so they and the stoch smoothing stay in [0, 100].
 """
 
 from __future__ import annotations
@@ -152,7 +154,6 @@ def _ratio(num, den, fallback, defined=None) -> np.ndarray:
 
 
 def _window_extremes(s, period) -> tuple[np.ndarray, np.ndarray]:
-    """Highest high and lowest low over [t-period+1, t]."""
     return _rolling(s.high, period, np.max), _rolling(s.low, period, np.min)
 
 
@@ -201,7 +202,6 @@ def _col_rsi(s, period):
     down_close = _rolling_sum(down * s.close, period)
     avg_up = _ratio(up_close, up_count, 0.0)
     avg_down = _ratio(down_close, down_count, 0.0)
-    # ratio first: avg_up / (avg_up + avg_down) <= 1 exactly, so rsi never exceeds 100
     out = 100.0 * _ratio(avg_up, avg_up + avg_down, 0.5)
     if len(out) >= period:
         out[period - 1] = np.nan  # first window needs a prior close for every day
@@ -210,7 +210,7 @@ def _col_rsi(s, period):
 
 def _fast_k(s, period):
     hh, ll = _window_extremes(s, period)
-    return _ratio(100.0 * (s.close - ll), hh - ll, 50.0)
+    return 100.0 * _ratio(s.close - ll, hh - ll, 0.5)
 
 
 def _col_stoch_k(s, period):
@@ -227,7 +227,7 @@ def _col_macd(s, period):
 
 def _col_wr(s, period):
     hh, ll = _window_extremes(s, period)
-    return _ratio(100.0 * (hh - s.close), hh - ll, 50.0)
+    return 100.0 * _ratio(hh - s.close, hh - ll, 0.5)
 
 
 def _col_psy(s, period):

@@ -100,7 +100,7 @@ CLI_ARCHIVE_DIGESTS = {
 
 #: sha256 over the name and bytes of each ``splits/*.csv`` that ``ingest
 #: --synthetic --seed 7 --bars 300`` writes, in name order.
-INGEST_SPLITS_DIGEST = "1878309b63ecc464fc9caf8630ea85c74a98767a0f0b3ae41cfc0fccca3025b8"
+INGEST_SPLITS_DIGEST = "e6bbf17324810c2946332272c1ebb66fb4c30cc668c1fbfd02c77f451f0e6a31"
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

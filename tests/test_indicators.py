@@ -68,6 +68,21 @@ class TestConstantAndMonotone:
         assert compute_column(s, IndicatorId("rsi", (5,)))[t] == 50.0
         assert compute_column(s, IndicatorId("wr", (5,)))[t] == 50.0
         assert compute_column(s, IndicatorId("vr", (10,)))[t] == 0.5
+        for kind, params in (("stoch_k", (5,)), ("stoch_d", (9,))):
+            assert abs(compute_column(s, IndicatorId(kind, params))[t] - 50.0) < 1e-12
+        assert compute_column(s, IndicatorId("ar", (20,)))[t] == 1.0
+        assert compute_column(s, IndicatorId("br", (20,)))[t] == 1.0
+        assert compute_column(s, IndicatorId("uo", (10, 20, 30)))[t] == 50.0
+        assert compute_column(s, IndicatorId("dis_up", (5,)))[t] == 0.0
+        assert compute_column(s, IndicatorId("dis_down", (5,)))[t] == 0.0
+
+    def test_br_keeps_a_negative_denominator(self):
+        # every bar gaps up: its low sits 3 above the prior close, its high 5 above
+        n = 50
+        close = 100.0 + 4.0 * np.arange(n)
+        days = np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-01-01") + n)
+        s = OhlcvSeries(days, close, close + 1.0, close - 1.0, close, np.full(n, 1000.0))
+        assert compute_column(s, IndicatorId("br", (20,)))[n - 1] == pytest.approx(-5.0 / 3.0)
 
     def test_monotone_up_run(self):
         closes = np.concatenate([100 + np.zeros(50), 100 + np.arange(1, 11)])
@@ -115,6 +130,18 @@ class TestBoundedFamilies:
         for tau in (5, 10, 15, 20):
             col = compute_column(s, IndicatorId("wr", (tau,)))[40:]
             assert np.all((col >= 0) & (col <= 100))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=ohlcv_seeds())
+    @example(seed=0)  # wr_5 once reached 100 + 1.4e-14 here
+    def test_range_families_with_closes_on_session_extremes(self, seed):
+        s = random_walk_series(90, seed=seed)
+        close = np.where(np.arange(90) % 2 == 0, s.low, s.high)
+        s = OhlcvSeries(s.dates, s.open, s.high, s.low, close, s.volume)
+        for kind, taus in (("wr", (5, 10, 15, 20)), ("stoch_k", (5, 9)), ("stoch_d", (5, 9))):
+            for tau in taus:
+                col = compute_column(s, IndicatorId(kind, (tau,)))[tau - 1:]
+                assert np.all((col >= 0) & (col <= 100)), (kind, tau)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=ohlcv_seeds())
