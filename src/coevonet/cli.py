@@ -96,8 +96,16 @@ def _parse_with_config(argv, args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"config file {args.config}: {exc}") from None
 
 
+def _read(parse, text: str, error, where: str):
+    """``parse(text)``, or ``error`` naming ``where`` and the text that did not parse."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise error(f"{where}: cannot read {text!r} ({exc})") from None
+
+
 def _parse_boundaries(text: str) -> SplitSpec:
-    parts = [date.fromisoformat(p) for p in text.split(",")]
+    parts = [_read(date.fromisoformat, p, MarketDataError, "--boundaries") for p in text.split(",")]
     if len(parts) != 5:
         raise MarketDataError("need 5 comma-separated ISO dates for --boundaries")
     return SplitSpec.from_boundaries(*parts)
@@ -282,7 +290,8 @@ def cmd_stats(args) -> int:
             if len(values) != len(methods):
                 raise StatsError(f"{args.table}: row {i} has {len(values)} values, "
                                  f"but the header names {len(methods)} methods")
-            data.append([float(v) for v in values])
+            data.append([_read(float, v, StatsError, f"{args.table}: row {i}, method {m}")
+                         for m, v in zip(methods, values)])
     table = np.asarray(data)
     fr = friedman_ranks(table, higher_is_better=not args.lower_is_better)
     print("Friedman two-way analysis by ranks")

@@ -216,6 +216,16 @@ def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path
     assert "--boundaries" in err and "splits/manifest.json" in err
 
 
+@pytest.mark.parametrize("bad, reason", [("2018-13-01", "month must be in 1..12"),
+                                         ("soon", "Invalid isoformat string")])
+def test_ingest_boundary_that_is_no_date_is_named(sessions, tmp_path, capsys, bad, reason):
+    boundaries = ",".join(["2017-01-02", bad, "2019-01-02", "2020-01-02", "2021-01-02"])
+    assert cli.main(["ingest", "--csv", str(sessions[0] / "data" / "ohlcv.csv"),
+                     "--boundaries", boundaries, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --boundaries: cannot read {bad!r} ({reason}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_ingest_csv_with_a_non_finite_value_names_the_bar(sessions, tmp_path, capsys, value):
     lines = (sessions[0] / "data" / "ohlcv.csv").read_text().splitlines()
@@ -443,3 +453,11 @@ def test_stats_row_of_the_wrong_length_is_a_validation_error(tmp_path, capsys):
     assert cli.main(["stats", "--table", str(table), "--table-has-index"]) == 1
     err = capsys.readouterr().err
     assert f"{table}: row 3 has 3 values, but the header names 4 methods" in err
+
+
+def test_stats_cell_that_is_no_number_is_named(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(STATS_TABLE.replace("r2,0.19,0.27,0.31,0.27", "r2,0.19,0.27,x,0.27"))
+    assert cli.main(["stats", "--table", str(table), "--table-has-index"]) == 1
+    err = capsys.readouterr().err
+    assert f"{table}: row 2, method pca: cannot read 'x'" in err
