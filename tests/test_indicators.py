@@ -84,6 +84,16 @@ class TestConstantAndMonotone:
         s = OhlcvSeries(days, close, close + 1.0, close - 1.0, close, np.full(n, 1000.0))
         assert compute_column(s, IndicatorId("br", (20,)))[n - 1] == pytest.approx(-5.0 / 3.0)
 
+    @pytest.mark.parametrize("label, burn_in", [
+        ("rsi_10", 10), ("wr_10", 9), ("stoch_k_9", 8), ("vr_10", 10), ("ar_20", 19),
+        ("br_20", 20), ("uo_10_20_30", 29), ("dis_up_10", 10), ("dis_down_10", 10),
+    ])
+    def test_guarded_families_are_nan_through_their_burn_in(self, label, burn_in):
+        cat = default_catalog()
+        for s in (constant_series(), random_walk_series(60, seed=3)):
+            col = compute_column(s, cat[catalog_index(cat, label)])
+            assert np.isnan(col[:burn_in]).all() and not np.isnan(col[burn_in:]).any()
+
     def test_monotone_up_run(self):
         closes = np.concatenate([100 + np.zeros(50), 100 + np.arange(1, 11)])
         s = series_from_closes(closes)
