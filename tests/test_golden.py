@@ -8,7 +8,8 @@ two runs of the new code still agree with each other. ``CLI_ARCHIVE_DIGESTS``
 does the same for a small real run: ``ingest`` of 300 synthetic bars, then a
 two-run ``search`` of every ``--algo`` (and of NSGA-II at two cycles), pinned
 by a digest of the merged archive's genomes and objectives; the ingested
-split files are pinned by ``INGEST_SPLITS_DIGEST``.
+split files are pinned by ``INGEST_SPLITS_DIGEST``, and the ``baseline``
+artifacts of each reduction by ``CLI_BASELINE_DIGESTS``.
 """
 
 import hashlib
@@ -102,6 +103,14 @@ CLI_ARCHIVE_DIGESTS = {
 #: --synthetic --seed 7 --bars 300`` writes, in name order.
 INGEST_SPLITS_DIGEST = "e6bbf17324810c2946332272c1ebb66fb4c30cc668c1fbfd02c77f451f0e6a31"
 
+#: sha256 over the name and bytes of ``rules.csv`` and ``reduction.json`` that
+#: ``baseline --method M`` (default flags) writes on that ingest.
+CLI_BASELINE_DIGESTS = {
+    "mrmr": "6da4fbe542f01867308c0b1e874d03a7072e39fd2dea4a0d0b9e14ceba9a738f",
+    "cfs": "5b16634b030ca11f6bbeb67e02a6de55fbf65fe633b2fc4d9a8a6ed400d4a961",
+    "pca": "7906d64af97993ec3b3688c3bb506aad03ee63ae54a239d93ef0a35e9f90e94c",
+}
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The steps run in one subprocess, so that the BLAS variables in its
@@ -125,12 +134,16 @@ def _env(**blas) -> dict:
     return {**env, **blas}
 
 
-def _run_searches(root: Path, names, env) -> None:
+def _run_searches(root: Path, names, env, methods=()) -> None:
+    """Ingest, then search each of ``names`` and fit the baseline of each of ``methods``."""
     data = root / "data"
     steps = [["ingest", "--synthetic", "--seed", "7", "--bars", "300", "--out", str(data)]]
     for name in names:
         steps.append(["search", "--data", str(data), *GOLDEN_SEARCHES[name],
                       "--out", str(root / name)])
+    for method in methods:
+        steps.append(["baseline", "--data", str(data), "--method", method,
+                      "--out", str(root / f"baseline-{method}")])
     subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps(steps)], env=env,
                    check=True)
 
@@ -145,7 +158,7 @@ def _member_digest(path: Path) -> str:
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-cli")
-    _run_searches(root, GOLDEN_SEARCHES, _env(OPENBLAS_NUM_THREADS="1"))
+    _run_searches(root, GOLDEN_SEARCHES, _env(OPENBLAS_NUM_THREADS="1"), CLI_BASELINE_DIGESTS)
     return root
 
 
@@ -160,6 +173,14 @@ def test_ingested_splits_match_recorded_bytes(cli_runs):
     for path in sorted((cli_runs / "data" / "splits").glob("*.csv")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == INGEST_SPLITS_DIGEST
+
+
+@pytest.mark.parametrize("method", sorted(CLI_BASELINE_DIGESTS))
+def test_baseline_artifacts_match_recorded_bytes(cli_runs, method):
+    digest = hashlib.sha256()
+    for name in ("reduction.json", "rules.csv"):
+        digest.update(name.encode() + b"\0" + (cli_runs / f"baseline-{method}" / name).read_bytes())
+    assert digest.hexdigest() == CLI_BASELINE_DIGESTS[method]
 
 
 def test_cli_archive_matches_with_blas_variables_unset(tmp_path):

@@ -6,7 +6,9 @@ turns the spans into per-layer counts. This runs a tiny session with two
 training cycles (so a genome's cycles train on the pool) under the tracer
 and checks the counts the benchmark reconciles: every training goes through
 ``neural.scg_train`` once, every evaluation is a fresh FE or a cache hit, and
-the baseline's rule trainings are told apart from the hold-out's.
+the baseline's rule trainings are told apart from the hold-out's. The
+benchmark's own rule-of-thumb formulas agree with the program's over a grid
+of input and training-pattern counts.
 """
 
 import os
@@ -23,6 +25,8 @@ if str(PERFBENCH) not in sys.path:
 
 import checks  # noqa: E402
 import layers  # noqa: E402
+
+from coevonet import baselines  # noqa: E402
 
 CYCLES = 2
 HOLDOUT_CYCLES = 2
@@ -75,3 +79,11 @@ def test_evaluations_are_fresh_or_cache_hits(traced):
 def test_rule_trainings_equal_the_rules_written(traced):
     _, m, rules, _ = traced
     assert m["baselines.rule_trainings"] == rules
+
+
+@pytest.mark.parametrize("n_train", [1, 50, 91, 231, 361, 1000, 2800])
+def test_rule_sizes_agree_with_the_benchmark_formulas(n_train):
+    for d in range(1, 69):
+        for rule, sizes in checks.rule_sizes(d, n_train).items():
+            assert baselines.rule_of_thumb(rule, n_features=d, n_classes=checks.N_CLASSES,
+                                           n_train=n_train) == sizes, (rule, d)
