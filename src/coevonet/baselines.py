@@ -2,12 +2,16 @@
 reduced splits for the topology-only search over a frozen feature subset,
 and a scalarized single-objective co-evolution GA.
 
-Feature filters work on 10-bin equal-frequency discretized columns. mRmR
-greedily maximizes label relevance minus mean redundancy (both discrete
+Feature filters work on ``BINS``-bin equal-frequency discretized columns.
+mRmR greedily maximizes label relevance minus mean redundancy (both discrete
 mutual information); CFS runs a best-first search over Hall's merit with
-symmetrical uncertainty as the correlation, stopping after five consecutive
-non-improving expansions.
-"""
+symmetrical uncertainty as the correlation, stopping after ``CFS_MAX_STALE``
+consecutive non-improving expansions. Both score each feature pair once.
+
+The six rules of thumb (Kolmogorov, Hush, Wang, Ripley, Fletcher-Goss and
+Huang) are one table, ``RULES``: each maps the input, class and
+training-pattern counts to the sizes of up to two hidden layers, rounded to
+the nearest integer, half up."""
 
 from __future__ import annotations
 
@@ -77,9 +81,15 @@ def pca_reduce(train_x: np.ndarray, n_components: int | None = None,
 # discretization, mutual information, filters
 # ---------------------------------------------------------------------------
 
-def discretize_equal_frequency(column: np.ndarray, bins: int = 10) -> np.ndarray:
-    """Integer codes from equal-frequency binning (duplicate edges collapsed)."""
-    qs = np.quantile(column, np.linspace(0, 1, bins + 1)[1:-1])
+#: Equal-frequency bins of every discretized column, and the consecutive
+#: non-improving expansions after which CFS stops.
+BINS = 10
+CFS_MAX_STALE = 5
+
+
+def discretize_equal_frequency(column: np.ndarray) -> np.ndarray:
+    """Integer codes from ``BINS`` equal-frequency bins (duplicate edges collapsed)."""
+    qs = np.quantile(column, np.linspace(0, 1, BINS + 1)[1:-1])
     edges = np.unique(qs)
     return np.searchsorted(edges, column, side="right").astype(np.int64)
 
@@ -139,29 +149,34 @@ class ReductionResult:
         return d
 
 
-def _discretize_matrix(x: np.ndarray, bins: int = 10) -> list[np.ndarray]:
-    return [discretize_equal_frequency(x[:, j], bins) for j in range(x.shape[1])]
+def _discretize_matrix(x: np.ndarray) -> list[np.ndarray]:
+    return [discretize_equal_frequency(x[:, j]) for j in range(x.shape[1])]
 
 
-def mrmr_select(train_x: np.ndarray, labels: np.ndarray, k: int,
-                bins: int = 10) -> ReductionResult:
+def _pair_cache(score, codes: list[np.ndarray]):
+    """``score`` of two columns by index, each unordered pair computed once."""
+    cache: dict[tuple[int, int], float] = {}
+
+    def pair(i: int, j: int) -> float:
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            cache[key] = score(codes[i], codes[j])
+        return cache[key]
+
+    return pair
+
+
+def mrmr_select(train_x: np.ndarray, labels: np.ndarray, k: int) -> ReductionResult:
     """Greedy forward relevance-minus-mean-redundancy selection."""
     n_features = train_x.shape[1]
     if not 1 <= k <= n_features:
         raise BaselineError(f"k={k} outside [1, {n_features}]")
-    codes = _discretize_matrix(train_x, bins)
+    codes = _discretize_matrix(train_x)
     y = np.asarray(labels)
     relevance = np.array([mutual_information(c, y) for c in codes])
     selected = [int(np.argmax(relevance))]
     trace = [float(relevance[selected[0]])]
-    redundancy_cache: dict[tuple[int, int], float] = {}
-
-    def redundancy(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in redundancy_cache:
-            redundancy_cache[key] = mutual_information(codes[i], codes[j])
-        return redundancy_cache[key]
-
+    redundancy = _pair_cache(mutual_information, codes)
     while len(selected) < k:
         best_j, best_score = -1, -math.inf
         for j in range(n_features):
@@ -185,28 +200,20 @@ def cfs_merit(subset, su_fc: np.ndarray, su_ff) -> float:
     return k * mean_fc / math.sqrt(k + k * (k - 1) * mean_ff)
 
 
-def cfs_select(train_x: np.ndarray, labels: np.ndarray, bins: int = 10,
-               max_stale: int = 5) -> ReductionResult:
-    """Best-first forward search over Hall's merit; stops after 5 stale expansions."""
+def cfs_select(train_x: np.ndarray, labels: np.ndarray) -> ReductionResult:
+    """Best-first forward search over Hall's merit; stops after ``CFS_MAX_STALE`` stale expansions."""
     n_features = train_x.shape[1]
-    codes = _discretize_matrix(train_x, bins)
+    codes = _discretize_matrix(train_x)
     y = np.asarray(labels)
     su_fc = np.array([symmetrical_uncertainty(c, y) for c in codes])
-    ff_cache: dict[tuple[int, int], float] = {}
-
-    def su_ff(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in ff_cache:
-            ff_cache[key] = symmetrical_uncertainty(codes[i], codes[j])
-        return ff_cache[key]
-
+    su_ff = _pair_cache(symmetrical_uncertainty, codes)
     start = (int(np.argmax(su_fc)),)
     best_subset, best_merit = start, cfs_merit(start, su_fc, su_ff)
     open_list = [(best_merit, start)]
     visited = {start}
     stale = 0
     trace = [best_merit]
-    while open_list and stale < max_stale:
+    while open_list and stale < CFS_MAX_STALE:
         open_list.sort(key=lambda kv: kv[0])
         merit, subset = open_list.pop()
         improved = False
@@ -254,47 +261,33 @@ def fit_reduction(method: str, train: PatternSet, k: int,
 # ---------------------------------------------------------------------------
 
 def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+    """Nearest integer, half up; every rule's argument is positive."""
+    return int(math.floor(x + 0.5))
 
 
-HUSH_C1 = 4.0
-HUSH_C2 = 2.0
+#: Hidden-layer sizes (s1, s2) of each rule of thumb from the input count d,
+#: the class count m and the training-pattern count n; s2 = 0 means no second
+#: layer. The order is the row order of ``rules.csv``.
+RULES = {
+    "kolmogorov": lambda d, m, n: (2 * d + 1, 0),
+    "hush": lambda d, m, n: (_round_half_away(4.0 * d), _round_half_away(2.0 * m)),
+    "wang": lambda d, m, n: (_round_half_away(2.0 * d / 3.0), 0),
+    "ripley": lambda d, m, n: (_round_half_away((d + m) / 2.0), 0),
+    "fletcher_goss": lambda d, m, n: (_round_half_away(2.0 * math.sqrt(d) + m), 0),
+    "huang": lambda d, m, n: (
+        _round_half_away(math.sqrt((m + 2) * n) + 2.0 * math.sqrt(n / (m + 2))),
+        _round_half_away(m * math.sqrt(n / (m + 2)))),
+}
 
-RULE_NAMES = ("kolmogorov", "hush", "wang", "ripley", "fletcher_goss", "huang")
 
-
-def rule_of_thumb(rule: str, n_features: int | None = None, n_classes: int | None = None,
-                  n_train: int | None = None) -> tuple[int, int]:
-    """Hidden-layer sizes (s1, s2) from a named closed-form heuristic.
-
-    All formulas round to the nearest integer, half away from zero.
-    """
-    rule = rule.lower().replace("-", "_")
-
-    def need(value, name):
-        if value is None or value <= 0:
-            raise BaselineError(f"rule {rule!r} needs positive {name}, got {value}")
-        return value
-
-    if rule == "kolmogorov":
-        return (2 * need(n_features, "n_features") + 1, 0)
-    if rule == "hush":
-        return (_round_half_away(HUSH_C1 * need(n_features, "n_features")),
-                _round_half_away(HUSH_C2 * need(n_classes, "n_classes")))
-    if rule == "wang":
-        return (_round_half_away(2.0 * need(n_features, "n_features") / 3.0), 0)
-    if rule == "ripley":
-        return (_round_half_away((need(n_features, "n_features") + need(n_classes, "n_classes")) / 2.0), 0)
-    if rule == "fletcher_goss":
-        return (_round_half_away(2.0 * math.sqrt(need(n_features, "n_features"))
-                                 + need(n_classes, "n_classes")), 0)
-    if rule == "huang":
-        m = need(n_classes, "n_classes")
-        n = need(n_train, "n_train")
-        s1 = _round_half_away(math.sqrt((m + 2) * n) + 2.0 * math.sqrt(n / (m + 2)))
-        s2 = _round_half_away(m * math.sqrt(n / (m + 2)))
-        return (s1, s2)
-    raise BaselineError(f"unknown rule {rule!r}; choose from {RULE_NAMES}")
+def rule_of_thumb(rule: str, n_features: int, n_classes: int, n_train: int) -> tuple[int, int]:
+    """Hidden-layer sizes (s1, s2) of the rule of thumb named ``rule`` in ``RULES``."""
+    if rule not in RULES:
+        raise BaselineError(f"unknown rule {rule!r}; choose from {tuple(RULES)}")
+    if min(n_features, n_classes, n_train) < 1:
+        raise BaselineError(f"rule {rule!r} needs counts of at least 1, got n_features="
+                            f"{n_features}, n_classes={n_classes}, n_train={n_train}")
+    return RULES[rule](n_features, n_classes, n_train)
 
 
 # ---------------------------------------------------------------------------

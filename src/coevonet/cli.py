@@ -54,7 +54,7 @@ from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
 from .genome import GenomeError, SearchSpaceConfig, complexity_of
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
-from .neural import ScgConfig
+from .neural import N_CLASSES, ActivationKind, ScgConfig, Topology
 from .objectives import SCORE_NAMES, split_scores
 from .stats import StatsError, friedman_ranks, hommel_apv, normal_sf
 from .synth import SynthSpec
@@ -249,14 +249,13 @@ def cmd_baseline(args) -> int:
     reduction = baselines.fit_reduction(args.method, splits.d_train, args.k, args.variance)
     reduced = baselines.reduce_splits(splits, reduction)
     d = reduced.d_train.n_features
-    topologies = runner.rule_of_thumb_topologies(d, 2, reduced.d_train.n)
     rows = []
-    for rule, topology in topologies.items():
+    for rule in baselines.RULES:
+        s1, s2 = baselines.rule_of_thumb(rule, d, N_CLASSES, reduced.d_train.n)
+        topology = Topology(((s1, ActivationKind.TANH), (s2, ActivationKind.TANH)))
         model = runner.train_final_model(topology, None, reduced,
                                          ScgConfig(max_iter=args.scg_iters), args.seed)
-        sizes = [s for s, _ in topology.active_layers]
-        row = {"rule": rule, "s1": sizes[0], "s2": sizes[1] if len(sizes) > 1 else 0,
-               "complexity": complexity_of(d, topology)}
+        row = {"rule": rule, "s1": s1, "s2": s2, "complexity": complexity_of(d, topology)}
         for split_name in ("test", "pr"):
             scores = split_scores(model, getattr(reduced, f"d_{split_name}"), None)
             row.update({f"{split_name}_{name}": v for name, v in zip(SCORE_NAMES, scores)})

@@ -246,15 +246,3 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
         **{name: float(np.mean(values)) for name, values in zip(SCORE_NAMES, zip(*scores))},
     }
 
-
-def rule_of_thumb_topologies(n_features: int, n_classes: int, n_train: int) -> dict[str, Topology]:
-    """All six rule topologies (tanh hidden layers) for a given input width."""
-    out = {}
-    for rule in baselines.RULE_NAMES:
-        s1, s2 = baselines.rule_of_thumb(rule, n_features=n_features,
-                                         n_classes=n_classes, n_train=n_train)
-        layers = [(s1, neural.ActivationKind.TANH)]
-        if s2 > 0:
-            layers.append((s2, neural.ActivationKind.TANH))
-        out[rule] = Topology(tuple(layers))
-    return out

@@ -109,7 +109,7 @@ class TestFilters:
         assert 0.0 <= su_cross < 0.2
 
     def test_equal_frequency_bins(self):
-        codes = discretize_equal_frequency(np.arange(100.0), bins=10)
+        codes = discretize_equal_frequency(np.arange(100.0))
         _, counts = np.unique(codes, return_counts=True)
         assert len(counts) == 10
         assert counts.min() >= 9 and counts.max() <= 11
@@ -132,28 +132,28 @@ class TestRulesOfThumb:
         assert s1 == expected
 
     def test_huang_pair(self):
-        assert rule_of_thumb("huang", n_classes=2, n_train=361) == (57, 19)
+        assert rule_of_thumb("huang", n_features=17, n_classes=2, n_train=361) == (57, 19)
 
     def test_single_layer_rules_have_no_second_layer(self):
         for rule in ("kolmogorov", "wang", "ripley", "fletcher_goss"):
-            assert rule_of_thumb(rule, n_features=17, n_classes=2)[1] == 0
+            assert rule_of_thumb(rule, n_features=17, n_classes=2, n_train=361)[1] == 0
 
     def test_hush_second_layer_from_formula(self):
-        assert rule_of_thumb("hush", n_features=17, n_classes=2) == (68, 4)
+        assert rule_of_thumb("hush", n_features=17, n_classes=2, n_train=361) == (68, 4)
 
     def test_rounding_is_half_away_from_zero(self):
         # ripley at n_f=17: (17+2)/2 = 9.5 -> 10, not banker's 9
-        assert rule_of_thumb("ripley", n_features=17, n_classes=2)[0] == 10
+        assert rule_of_thumb("ripley", n_features=17, n_classes=2, n_train=361)[0] == 10
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(BaselineError):
-            rule_of_thumb("wang", n_features=0)
+            rule_of_thumb("wang", n_features=0, n_classes=2, n_train=361)
         with pytest.raises(BaselineError):
-            rule_of_thumb("huang", n_classes=2, n_train=-5)
+            rule_of_thumb("huang", n_features=17, n_classes=2, n_train=-5)
 
     def test_unknown_rule(self):
         with pytest.raises(BaselineError):
-            rule_of_thumb("lecun", n_features=17)
+            rule_of_thumb("lecun", n_features=17, n_classes=2, n_train=361)
 
 
 class TestSearchBaselines:
