@@ -11,7 +11,9 @@ A typical desk-scale session on synthetic data:
 ``holdout-eval`` retrains the selection of a run of any ``--algo``: it
 rebuilds the run's evaluation problem from the settings in the merged
 archive's header, so a topology-only genome is retrained on the same reduced
-inputs it was searched on. ``select`` and ``export`` copy the architecture
+inputs it was searched on. It writes each score's mean over the ``--cycles``
+trainings (cycle k seeded ``--seed`` + k), its per-cycle values and their
+standard deviation, and prints the means with the deviation. ``select`` and ``export`` copy the architecture
 record that ``search`` wrote into every archive row, so ``export`` fills
 ``n_features`` (the network's input count) and ``layers`` for every
 ``--algo``; an archive written before rows carried that record must be
@@ -239,8 +241,8 @@ def cmd_holdout_eval(args) -> int:
     out_dir = Path(args.run) / "holdout"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{args.preset}.json").write_text(json.dumps(result, indent=2, sort_keys=True))
-    print(f"holdout-eval: preset {args.preset} accuracy={result['accuracy']:.4f} "
-          f"mcc={result['mcc']:.4f} balanced_error={result['balanced_error']:.4f}")
+    print(f"holdout-eval: preset {args.preset} over {args.cycles} cycle(s): " + ", ".join(
+        f"{name}={result[name]:.4f} (sd {result['std'][name]:.4f})" for name in SCORE_NAMES))
     return 0
 
 

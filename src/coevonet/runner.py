@@ -225,24 +225,28 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
     """Retrain the selected architecture at final quality; report hold-out metrics.
 
     ``problem`` is the run's evaluation problem (see ``make_problem``): it
-    describes the genome and holds the splits the search trained on; a
-    topology-only architecture reads every reduced input (``feature_indices``
-    null). With cycles > 1 the metrics are means over independently seeded
-    trainings; ``cycles`` below 1 is a ``ValueError``.
+    decodes and describes the genome and holds the splits the search trained
+    on; a topology-only architecture reads every reduced input. Cycle k trains
+    with seed ``seed + k``. Each score is reported as its mean over the
+    cycles, with its values in seed order under ``per_cycle`` and their
+    population standard deviation under ``std``; ``cycles`` below 1 is a
+    ``ValueError``.
     """
     if cycles < 1:
         raise ValueError(f"holdout cycles must be >= 1, got {cycles}")
-    architecture = problem.describe(bits)
-    columns, topology = architecture["feature_indices"], record_topology(architecture)
+    columns, _, topology = problem.decode(bits)
     hold = problem.splits.open_holdout()
     scores = []
     for k in range(cycles):
         model = train_final_model(topology, columns, problem.splits, scg_cfg, seed + k)
         scores.append(split_scores(model, hold, columns))
+    per_cycle = {name: [float(v) for v in values]
+                 for name, values in zip(SCORE_NAMES, zip(*scores))}
     return {
         "genome": bits,
-        "architecture": architecture,
+        "architecture": problem.describe(bits),
         "cycles": cycles,
-        **{name: float(np.mean(values)) for name, values in zip(SCORE_NAMES, zip(*scores))},
+        **{name: float(np.mean(values)) for name, values in per_cycle.items()},
+        "per_cycle": per_cycle,
+        "std": {name: float(np.std(values)) for name, values in per_cycle.items()},
     }
-

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import is_dominance_fixed_point, make_planted_splits
@@ -7,6 +8,7 @@ from coevonet import baselines, runner
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import merge_archives
 from coevonet.neural import ScgConfig
+from coevonet.objectives import SCORE_NAMES
 
 SPACE = SearchSpaceConfig(n_features=8)
 
@@ -70,6 +72,20 @@ def test_holdout_decodes_through_the_run_problem(splits, algorithm):
                                             cycles=2)
     assert result["genome"] == bits and result["cycles"] == 2
     assert all(0.0 <= result[name] <= 1.0 for name in ("accuracy", "balanced_error"))
+
+
+def test_holdout_reports_every_cycle_and_the_spread(splits):
+    archive, _, problem = runner.run_single_seed(splits, SPACE, _settings("nsga2"), 3)
+    bits, scg = archive.members()[0][0], ScgConfig(max_iter=10)
+    result = runner.holdout_evaluate_genome(bits, problem, scg, seed=4, cycles=3)
+    for k in range(3):
+        single = runner.holdout_evaluate_genome(bits, problem, scg, seed=4 + k)
+        for name in SCORE_NAMES:
+            assert result["per_cycle"][name][k] == single[name] == single["per_cycle"][name][0]
+            assert single["std"][name] == 0.0
+    for name in SCORE_NAMES:
+        assert result[name] == float(np.mean(result["per_cycle"][name]))
+        assert result["std"][name] == float(np.std(result["per_cycle"][name]))
 
 
 def test_protocol_merges_runs_and_writes_artifacts(splits, tmp_path):
