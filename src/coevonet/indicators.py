@@ -6,7 +6,7 @@ defines genome bit order, so it is dumpable as JSON for auditing.
 
 Windowed families use only bars <= t; recursive families (ema, stoch_k,
 stoch_d, macd, atr) run their recursion from the start of the series, so a
-40-bar warm-up absorbs seed transients. Division guards, all in ``_ratio``:
+``WARMUP_BARS``-bar warm-up absorbs seed transients. Division guards, all in ``_ratio``:
 rsi with no down days -> 100 (no up days -> 0, flat -> 50); wr/stoch_k on a
 zero range -> 50; vr with no directional volume -> 0.5; uo on a zero true
 range -> 0.5 per average; dis on a zero true range -> 0; ar/br on a zero
@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class IndicatorError(ValueError):
     pass
+
+
+#: Bars discarded before the first feature row. The longest lookback of the
+#: default catalog is uo's 30 trading days; the extra bars let the recursive
+#: families run in.
+WARMUP_BARS = 40
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,11 @@ def default_catalog() -> tuple[IndicatorId, ...]:
     return tuple(entries)
 
 
-def catalog_to_json(catalog=None) -> str:
-    """Catalog as JSON so genome bit positions are auditable."""
-    catalog = catalog or default_catalog()
+def catalog_to_json() -> str:
+    """The default catalog as JSON so genome bit positions are auditable."""
     rows = [
         {"index": i + 1, "kind": iid.kind, "params": list(iid.params), "label": iid.label()}
-        for i, iid in enumerate(catalog)
+        for i, iid in enumerate(default_catalog())
     ]
     return json.dumps(rows, indent=2)
 
@@ -153,6 +158,13 @@ def _ratio(num, den, fallback, defined=None) -> np.ndarray:
     return out
 
 
+def _after_first_window(out: np.ndarray, period: int) -> np.ndarray:
+    """``out`` with its first full window NaN: that window lacks a prior close for its first day."""
+    if len(out) >= period:
+        out[period - 1] = np.nan
+    return out
+
+
 def _window_extremes(s, period) -> tuple[np.ndarray, np.ndarray]:
     return _rolling(s.high, period, np.max), _rolling(s.low, period, np.min)
 
@@ -202,10 +214,7 @@ def _col_rsi(s, period):
     down_close = _rolling_sum(down * s.close, period)
     avg_up = _ratio(up_close, up_count, 0.0)
     avg_down = _ratio(down_close, down_count, 0.0)
-    out = 100.0 * _ratio(avg_up, avg_up + avg_down, 0.5)
-    if len(out) >= period:
-        out[period - 1] = np.nan  # first window needs a prior close for every day
-    return out
+    return _after_first_window(100.0 * _ratio(avg_up, avg_up + avg_down, 0.5), period)
 
 
 def _fast_k(s, period):
@@ -232,10 +241,7 @@ def _col_wr(s, period):
 
 def _col_psy(s, period):
     up, _ = _updown_flags(s.close)
-    out = 100.0 * _rolling_sum(up, period) / period
-    if len(out) >= period:
-        out[period - 1] = np.nan
-    return out
+    return _after_first_window(100.0 * _rolling_sum(up, period) / period, period)
 
 
 def _col_oscp(s, x, y):
@@ -265,10 +271,7 @@ def _col_vr(s, period):
     up, down = _updown_flags(s.close)
     uv = _rolling_sum(up * s.volume, period)
     dv = _rolling_sum(down * s.volume, period)
-    out = _ratio(uv, uv + dv, 0.5)
-    if len(out) >= period:
-        out[period - 1] = np.nan
-    return out
+    return _after_first_window(_ratio(uv, uv + dv, 0.5), period)
 
 
 def _col_ar(s, period):
@@ -280,10 +283,7 @@ def _col_br(s, period):
     prev_close = _prev_close(s.close)
     num = _rolling_sum(s.high - prev_close, period)
     den = _rolling_sum(prev_close - s.low, period)
-    out = _ratio(num, den, 1.0, defined=den != 0)
-    if len(out) >= period:
-        out[period - 1] = np.nan  # first window lacks a prior close for day 0
-    return out
+    return _after_first_window(_ratio(num, den, 1.0, defined=den != 0), period)
 
 
 def _col_ll(s, period):
@@ -389,14 +389,14 @@ def compute_column(series: "OhlcvSeries", iid: IndicatorId) -> np.ndarray:
     return fn(series, *iid.params)
 
 
-def compute_matrix(series: "OhlcvSeries", catalog=None, warmup: int = 40) -> np.ndarray:
-    """Feature matrix with one row per day index in [warmup, len(series)-1]."""
-    catalog = catalog or default_catalog()
-    if len(series) <= warmup:
+def compute_matrix(series: "OhlcvSeries") -> np.ndarray:
+    """Default-catalog feature matrix, one row per day index in [WARMUP_BARS, len(series)-1]."""
+    catalog = default_catalog()
+    if len(series) <= WARMUP_BARS:
         raise IndicatorError(
-            f"series has {len(series)} bars; more than the {warmup}-bar warm-up needed"
+            f"series has {len(series)} bars; more than the {WARMUP_BARS}-bar warm-up needed"
         )
-    cols = [compute_column(series, iid)[warmup:] for iid in catalog]
+    cols = [compute_column(series, iid)[WARMUP_BARS:] for iid in catalog]
     matrix = np.column_stack(cols)
     bad = np.flatnonzero(np.isnan(matrix).any(axis=0))
     if bad.size:

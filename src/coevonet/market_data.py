@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from . import indicators
+from .indicators import WARMUP_BARS
 
-#: Bars discarded before the first pattern. The longest indicator lookback is
-#: 30 trading days; the extra bars let the recursive families run in.
-WARMUP_BARS = 40
+logger = logging.getLogger(__name__)
 
 
 class MarketDataError(ValueError):
@@ -175,25 +174,20 @@ class PatternSet:
         return PatternSet(self._features, self._labels, self._dates, sealed=False)
 
 
-def build_patterns(series: OhlcvSeries, catalog=None, warmup: int = WARMUP_BARS) -> PatternSet:
+def build_patterns(series: OhlcvSeries) -> PatternSet:
     """Compute the full feature matrix and next-day movement labels.
 
-    Row t exists for every bar index in [warmup, len(series)-2]; the label is
-    1 when close(t+1) > close(t), else 0. Features at t use bars <= t only.
+    Row t exists for every bar index in [WARMUP_BARS, len(series)-2]; the label
+    is 1 when close(t+1) > close(t), else 0. Features at t use bars <= t only.
     """
-    from . import indicators  # deferred: indicators consumes OhlcvSeries
-
-    if catalog is None:
-        catalog = indicators.default_catalog()
     n = len(series)
-    if n < warmup + 2:
-        raise MarketDataError(
-            f"series has {n} bars; at least {warmup + 2} needed (warm-up {warmup} + label day)"
-        )
-    matrix = indicators.compute_matrix(series, catalog, warmup=warmup)
+    if n < WARMUP_BARS + 2:
+        raise MarketDataError(f"series has {n} bars; at least {WARMUP_BARS + 2} needed "
+                              f"(warm-up {WARMUP_BARS} + label day)")
+    matrix = indicators.compute_matrix(series)
     # last feature row has no next-day close to label
     feats = matrix[:-1]
-    t_index = np.arange(warmup, n - 1)
+    t_index = np.arange(WARMUP_BARS, n - 1)
     labels = (series.close[t_index + 1] - series.close[t_index] > 0).astype(np.int8)
     return PatternSet(feats, labels, series.dates[t_index])
 

@@ -38,7 +38,8 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import indicators
-from .market_data import WARMUP_BARS, OhlcvSeries, SplitSpec
+from .indicators import WARMUP_BARS
+from .market_data import OhlcvSeries, SplitSpec
 
 
 class SynthError(ValueError):

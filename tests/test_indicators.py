@@ -85,7 +85,7 @@ class TestConstantAndMonotone:
         assert compute_column(s, IndicatorId("br", (20,)))[n - 1] == pytest.approx(-5.0 / 3.0)
 
     @pytest.mark.parametrize("label, burn_in", [
-        ("rsi_10", 10), ("wr_10", 9), ("stoch_k_9", 8), ("vr_10", 10), ("ar_20", 19),
+        ("rsi_10", 10), ("psy_10", 10), ("wr_10", 9), ("stoch_k_9", 8), ("vr_10", 10), ("ar_20", 19),
         ("br_20", 20), ("uo_10_20_30", 29), ("dis_up_10", 10), ("dis_down_10", 10),
     ])
     def test_guarded_families_are_nan_through_their_burn_in(self, label, burn_in):
@@ -231,7 +231,7 @@ class TestMatrix:
     def test_matrix_matches_per_feature_calls(self):
         s = random_walk_series(70, seed=41)
         cat = default_catalog()
-        m = compute_matrix(s, cat)
+        m = compute_matrix(s)
         for j in (0, 4, 20, 47, 67):
             for t in (40, 55, 69):
                 assert m[t - 40, j] == compute_column(s, cat[j])[t]
