@@ -68,19 +68,23 @@ class Topology:
         return "-".join(f"{s}{ActivationKind(a).value[:4]}" for s, a in self.active_layers)
 
 
+#: Moller's published SCG constants: the curvature probe's step scale, the
+#: initial damping, and the loss-change and gradient tolerances that stop a run.
+SCG_SIGMA = 1e-4
+SCG_LAMBDA_INIT = 1e-6
+SCG_LOSS_TOL = 1e-9
+SCG_GRAD_TOL = 1e-6
+
+
 @dataclass
 class ScgConfig:
-    """Scaled-conjugate-gradient knobs (Moller's published defaults)."""
+    """The iteration budget of one SCG training."""
 
     max_iter: int = 200
-    sigma: float = 1e-4
-    lambda_init: float = 1e-6
-    loss_tol: float = 1e-9
-    grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iter < 0 or self.sigma <= 0 or self.lambda_init <= 0:
-            raise ValueError("ScgConfig values must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"ScgConfig max_iter {self.max_iter} must be non-negative")
 
 
 N_CLASSES = 2
@@ -240,7 +244,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
         trace.append(f)
     r = -objective.gradient(current)
     p = r.copy()
-    lam, lam_bar = cfg.lambda_init, 0.0
+    lam, lam_bar = SCG_LAMBDA_INIT, 0.0
     success = True
     n_dim = theta.size
     delta = 0.0
@@ -251,7 +255,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
             p2 = float(p @ p)
             if p2 == 0.0 or math.sqrt(p2) < 1e-300:
                 break
-            sigma = cfg.sigma / math.sqrt(p2)
+            sigma = SCG_SIGMA / math.sqrt(p2)
             g_sigma = objective.gradient(objective.forward(theta + sigma * p)[1])
             s = (g_sigma - (-r)) / sigma
             delta = float(p @ s)
@@ -290,7 +294,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
             r = r_new
             if comparison >= 0.75:
                 lam = max(lam * 0.25, 1e-20)
-            if abs(f_prev - f) < cfg.loss_tol and float(np.abs(r).max()) < cfg.grad_tol:
+            if abs(f_prev - f) < SCG_LOSS_TOL and float(np.abs(r).max()) < SCG_GRAD_TOL:
                 break
         else:
             lam_bar = lam
@@ -299,7 +303,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
             lam = min(lam + delta * (1.0 - comparison) / p2, 1e20)
         elif not math.isfinite(comparison):
             lam = min(max(lam * 10.0, 1e-6), 1e20)
-        if float(r @ r) < cfg.grad_tol ** 2:
+        if float(r @ r) < SCG_GRAD_TOL ** 2:
             break
     return theta, f, iters, False
 
