@@ -9,9 +9,9 @@ symmetrical uncertainty as the correlation, stopping after ``CFS_MAX_STALE``
 consecutive non-improving expansions. Both score each feature pair once.
 
 The six rules of thumb (Kolmogorov, Hush, Wang, Ripley, Fletcher-Goss and
-Huang) are one table, ``RULES``: each maps the input, class and
-training-pattern counts to the sizes of up to two hidden layers, rounded to
-the nearest integer, half up."""
+Huang) are one table, ``RULES``, from the input, class and training-pattern
+counts to the sizes of up to two hidden layers.
+"""
 
 from __future__ import annotations
 
@@ -81,10 +81,8 @@ def pca_reduce(train_x: np.ndarray, n_components: int | None = None,
 # discretization, mutual information, filters
 # ---------------------------------------------------------------------------
 
-#: Equal-frequency bins of every discretized column, and the consecutive
-#: non-improving expansions after which CFS stops.
-BINS = 10
-CFS_MAX_STALE = 5
+BINS = 10           # equal-frequency bins of every discretized column
+CFS_MAX_STALE = 5   # consecutive non-improving expansions after which CFS stops
 
 
 def discretize_equal_frequency(column: np.ndarray) -> np.ndarray:
@@ -149,10 +147,6 @@ class ReductionResult:
         return d
 
 
-def _discretize_matrix(x: np.ndarray) -> list[np.ndarray]:
-    return [discretize_equal_frequency(x[:, j]) for j in range(x.shape[1])]
-
-
 def _pair_cache(score, codes: list[np.ndarray]):
     """``score`` of two columns by index, each unordered pair computed once."""
     cache: dict[tuple[int, int], float] = {}
@@ -171,7 +165,7 @@ def mrmr_select(train_x: np.ndarray, labels: np.ndarray, k: int) -> ReductionRes
     n_features = train_x.shape[1]
     if not 1 <= k <= n_features:
         raise BaselineError(f"k={k} outside [1, {n_features}]")
-    codes = _discretize_matrix(train_x)
+    codes = [discretize_equal_frequency(column) for column in train_x.T]
     y = np.asarray(labels)
     relevance = np.array([mutual_information(c, y) for c in codes])
     selected = [int(np.argmax(relevance))]
@@ -203,7 +197,7 @@ def cfs_merit(subset, su_fc: np.ndarray, su_ff) -> float:
 def cfs_select(train_x: np.ndarray, labels: np.ndarray) -> ReductionResult:
     """Best-first forward search over Hall's merit; stops after ``CFS_MAX_STALE`` stale expansions."""
     n_features = train_x.shape[1]
-    codes = _discretize_matrix(train_x)
+    codes = [discretize_equal_frequency(column) for column in train_x.T]
     y = np.asarray(labels)
     su_fc = np.array([symmetrical_uncertainty(c, y) for c in codes])
     su_ff = _pair_cache(symmetrical_uncertainty, codes)
@@ -261,7 +255,7 @@ def fit_reduction(method: str, train: PatternSet, k: int,
 # ---------------------------------------------------------------------------
 
 def _round_half_away(x: float) -> int:
-    """Nearest integer, half up; every rule's argument is positive."""
+    """Nearest integer, halves away from zero; every rule's argument is positive."""
     return int(math.floor(x + 0.5))
 
 
