@@ -195,7 +195,7 @@ def cfs_merit(subset, su_fc: np.ndarray, su_ff) -> float:
 
 
 def cfs_select(train_x: np.ndarray, labels: np.ndarray) -> ReductionResult:
-    """Best-first forward search over Hall's merit; stops after ``CFS_MAX_STALE`` stale expansions."""
+    """Best-first search over Hall's merit; stops after ``CFS_MAX_STALE`` stale expansions."""
     n_features = train_x.shape[1]
     codes = [discretize_equal_frequency(column) for column in train_x.T]
     y = np.asarray(labels)

@@ -11,13 +11,12 @@ A typical desk-scale session on synthetic data:
 ``holdout-eval`` retrains the selection of a run of any ``--algo``: it
 rebuilds the run's evaluation problem from the settings in the merged
 archive's header, so a topology-only genome is retrained on the same reduced
-inputs it was searched on. It writes each score's mean over the ``--cycles``
-trainings (cycle k seeded ``--seed`` + k), its per-cycle values and their
-standard deviation, and prints the means with the deviation. ``select`` and ``export`` copy the architecture
-record that ``search`` wrote into every archive row, so ``export`` fills
-``n_features`` (the network's input count) and ``layers`` for every
-``--algo``; an archive written before rows carried that record must be
-searched again.
+inputs it was searched on. It writes each score's per-cycle values (cycle k
+seeded ``--seed`` + k), their mean and their standard deviation. ``select``
+and ``export`` copy the architecture record that ``search`` wrote into every
+archive row, so ``export`` fills ``n_features`` (the network's input count)
+and ``layers`` for every ``--algo``; an archive written before rows carried
+that record must be searched again.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime failure. Deterministic
 artifacts embed the config hash and master seed; rerunning a subcommand with

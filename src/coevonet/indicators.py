@@ -5,8 +5,8 @@ parameterized over several lookback periods. Catalog order is fixed and
 defines genome bit order, so it is dumpable as JSON for auditing.
 
 Windowed families use only bars <= t; recursive families (ema, stoch_k,
-stoch_d, macd, atr) run their recursion from the start of the series, so a
-``WARMUP_BARS``-bar warm-up absorbs seed transients. Division guards, all in ``_ratio``:
+stoch_d, macd, atr) run their recursion from the start of the series, so the
+``WARMUP_BARS`` warm-up absorbs seed transients. Division guards, all in ``_ratio``:
 rsi with no down days -> 100 (no up days -> 0, flat -> 50); wr/stoch_k on a
 zero range -> 50; vr with no directional volume -> 0.5; uo on a zero true
 range -> 0.5 per average; dis on a zero true range -> 0; ar/br on a zero

@@ -85,8 +85,8 @@ class TestConstantAndMonotone:
         assert compute_column(s, IndicatorId("br", (20,)))[n - 1] == pytest.approx(-5.0 / 3.0)
 
     @pytest.mark.parametrize("label, burn_in", [
-        ("rsi_10", 10), ("psy_10", 10), ("wr_10", 9), ("stoch_k_9", 8), ("vr_10", 10), ("ar_20", 19),
-        ("br_20", 20), ("uo_10_20_30", 29), ("dis_up_10", 10), ("dis_down_10", 10),
+        ("rsi_10", 10), ("psy_10", 10), ("wr_10", 9), ("stoch_k_9", 8), ("vr_10", 10),
+        ("ar_20", 19), ("br_20", 20), ("uo_10_20_30", 29), ("dis_up_10", 10), ("dis_down_10", 10),
     ])
     def test_guarded_families_are_nan_through_their_burn_in(self, label, burn_in):
         cat = default_catalog()
