@@ -205,6 +205,17 @@ def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):
     assert "population must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["search", "baseline", "holdout-eval"])
+def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, step):
+    data, run = str(sessions[0] / "data"), str(sessions[0] / "run")
+    argv = {"search": ["search", "--data", data, "--fe", "4", "--population", "4",
+                       "--cycles", "2", "--runs", "1", "--out", str(tmp_path)],
+            "baseline": ["baseline", "--data", data, "--k", "5", "--out", str(tmp_path)],
+            "holdout-eval": ["holdout-eval", "--data", data, "--run", run, "--preset", "O2"]}
+    assert cli.main([*argv[step], "--scg-iters", "-1"]) == 1
+    assert "max_iter -1 must be non-negative" in capsys.readouterr().err
+
+
 def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path, capsys):
     csv_path = sessions[0] / "data" / "ohlcv.csv"
     rows = [line.split(",")[0] for line in csv_path.read_text().splitlines()
@@ -445,6 +456,11 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only a multi-cycle search needs it, and it costs every step time and memory
     assert _modules_loaded_by_cli_import("multiprocessing") == "[]"
+
+
+def test_every_package_export_resolves():
+    import coevonet
+    assert [name for name in coevonet.__all__ if not hasattr(coevonet, name)] == []
 
 
 def test_stats_row_of_the_wrong_length_is_a_validation_error(tmp_path, capsys):

@@ -8,8 +8,9 @@ two runs of the new code still agree with each other. ``CLI_ARCHIVE_DIGESTS``
 does the same for a small real run: ``ingest`` of 300 synthetic bars, then a
 two-run ``search`` of every ``--algo`` (and of NSGA-II at two cycles), pinned
 by a digest of the merged archive's genomes and objectives; the ingested
-split files are pinned by ``INGEST_SPLITS_DIGEST``, and the ``baseline``
-artifacts of each reduction by ``CLI_BASELINE_DIGESTS``.
+split files are pinned by ``INGEST_SPLITS_DIGEST``, the ``baseline``
+artifacts of each reduction by ``CLI_BASELINE_DIGESTS``, and the ``select``
+and ``holdout-eval`` records of two of the runs by ``CLI_HOLDOUT_DIGESTS``.
 """
 
 import hashlib
@@ -111,6 +112,14 @@ CLI_BASELINE_DIGESTS = {
     "pca": "7906d64af97993ec3b3688c3bb506aad03ee63ae54a239d93ef0a35e9f90e94c",
 }
 
+#: sha256 over the name and bytes of ``selected/O2.json`` and ``holdout/O2.json``
+#: after ``select --preset O2`` and ``holdout-eval --cycles 2 --scg-iters 50``
+#: on the run of that name.
+CLI_HOLDOUT_DIGESTS = {
+    "nsga2-cycles2": "43604be869686ddb5720744866f33fbdec48e6f3d7dde00ccf52bb38e74e784d",
+    "topology-only-pca": "762583d543f0bb14a2f0670471a9a0600700da42c9645996897b8198780dee7a",
+}
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The steps run in one subprocess, so that the BLAS variables in its
@@ -134,8 +143,9 @@ def _env(**blas) -> dict:
     return {**env, **blas}
 
 
-def _run_searches(root: Path, names, env, methods=()) -> None:
-    """Ingest, then search each of ``names`` and fit the baseline of each of ``methods``."""
+def _run_searches(root: Path, names, env, methods=(), holdouts=()) -> None:
+    """Ingest, search each of ``names``, fit the baseline of each of ``methods``,
+    and select and hold-out-evaluate the O2 preset of each run in ``holdouts``."""
     data = root / "data"
     steps = [["ingest", "--synthetic", "--seed", "7", "--bars", "300", "--out", str(data)]]
     for name in names:
@@ -144,6 +154,10 @@ def _run_searches(root: Path, names, env, methods=()) -> None:
     for method in methods:
         steps.append(["baseline", "--data", str(data), "--method", method,
                       "--out", str(root / f"baseline-{method}")])
+    for name in holdouts:
+        steps.append(["select", "--run", str(root / name), "--preset", "O2"])
+        steps.append(["holdout-eval", "--data", str(data), "--run", str(root / name),
+                      "--preset", "O2", "--cycles", "2", "--scg-iters", "50"])
     subprocess.run([sys.executable, "-c", _CLI_SCRIPT, json.dumps(steps)], env=env,
                    check=True)
 
@@ -158,7 +172,8 @@ def _member_digest(path: Path) -> str:
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-cli")
-    _run_searches(root, GOLDEN_SEARCHES, _env(OPENBLAS_NUM_THREADS="1"), CLI_BASELINE_DIGESTS)
+    _run_searches(root, GOLDEN_SEARCHES, _env(OPENBLAS_NUM_THREADS="1"), CLI_BASELINE_DIGESTS,
+                  CLI_HOLDOUT_DIGESTS)
     return root
 
 
@@ -181,6 +196,14 @@ def test_baseline_artifacts_match_recorded_bytes(cli_runs, method):
     for name in ("reduction.json", "rules.csv"):
         digest.update(name.encode() + b"\0" + (cli_runs / f"baseline-{method}" / name).read_bytes())
     assert digest.hexdigest() == CLI_BASELINE_DIGESTS[method]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_HOLDOUT_DIGESTS))
+def test_holdout_record_matches_recorded_bytes(cli_runs, name):
+    digest = hashlib.sha256()
+    for path in ("selected/O2.json", "holdout/O2.json"):
+        digest.update(path.encode() + b"\0" + (cli_runs / name / path).read_bytes())
+    assert digest.hexdigest() == CLI_HOLDOUT_DIGESTS[name]
 
 
 def test_cli_archive_matches_with_blas_variables_unset(tmp_path):
