@@ -51,11 +51,10 @@ class PcaModel:
         return (x - self.mean) @ self.components.T
 
 
-def pca_reduce(train_x: np.ndarray, n_components: int | None = None,
-               variance_target: float | None = None) -> PcaModel:
-    """Fit principal components on the training matrix only."""
-    if (n_components is None) == (variance_target is None):
-        raise BaselineError("specify exactly one of n_components / variance_target")
+def pca_reduce(train_x: np.ndarray, variance_target: float) -> PcaModel:
+    """Principal components of the training matrix only: the fewest whose cumulative
+    variance share reaches ``variance_target`` (``fit_reduction`` passes
+    ``PCA_VARIANCE_TARGET`` by default), at most the matrix rank and at least one."""
     x = np.asarray(train_x, dtype=float)
     mean = x.mean(axis=0)
     u, s, vt = np.linalg.svd(x - mean, full_matrices=False)
@@ -63,17 +62,7 @@ def pca_reduce(train_x: np.ndarray, n_components: int | None = None,
     total = var.sum()
     ratio = var / total if total > 0 else np.zeros_like(var)
     rank = int((s > s[0] * 1e-12).sum()) if s.size and s[0] > 0 else 0
-    if n_components is not None:
-        if n_components < 1:
-            raise BaselineError("n_components must be positive")
-        d = min(n_components, rank)
-        if d < n_components:
-            logger.warning("pca: rank-deficient input, returning %d of %d requested components",
-                           d, n_components)
-    else:
-        cum = np.cumsum(ratio)
-        d = int(np.searchsorted(cum, variance_target) + 1)
-        d = min(d, rank if rank else 1)
+    d = min(int(np.searchsorted(np.cumsum(ratio), variance_target) + 1), rank if rank else 1)
     return PcaModel(mean=mean, components=vt[:d], explained_variance_ratio=ratio[:d])
 
 
@@ -245,8 +234,7 @@ def fit_reduction(method: str, train: PatternSet, k: int,
     if method == "cfs":
         return cfs_select(train.features, train.labels)
     if method == "pca":
-        return ReductionResult("PCA", pca=pca_reduce(train.features,
-                                                      variance_target=variance_target))
+        return ReductionResult("PCA", pca=pca_reduce(train.features, variance_target))
     raise BaselineError(f"unknown reduction {method!r}; choose from {REDUCTIONS}")
 
 

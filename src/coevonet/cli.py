@@ -55,7 +55,7 @@ from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
 from .genome import GenomeError, SearchSpaceConfig, complexity_of
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
-from .neural import N_CLASSES, ActivationKind, ScgConfig, Topology
+from .neural import N_CLASSES, ActivationKind, Topology
 from .objectives import SCORE_NAMES, split_scores
 from .stats import StatsError, friedman_ranks, hommel_apv, normal_sf
 from .synth import SynthSpec
@@ -232,8 +232,7 @@ def cmd_holdout_eval(args) -> int:
     settings = runner.SearchSettings(**_merged_archive(args.run)[1].get("settings", {}))
     problem = runner.make_problem(splits, SearchSpaceConfig(), settings, settings.master_seed)
     result = runner.holdout_evaluate_genome(
-        record["genome"], problem, ScgConfig(max_iter=args.scg_iters),
-        seed=args.seed, cycles=args.cycles)
+        record["genome"], problem, args.scg_iters, seed=args.seed, cycles=args.cycles)
     result["config_hash"] = record.get("config_hash", "")
     result["master_seed"] = record.get("master_seed", 0)
     result["preset"] = args.preset
@@ -254,8 +253,7 @@ def cmd_baseline(args) -> int:
     for rule in baselines.RULES:
         s1, s2 = baselines.rule_of_thumb(rule, d, N_CLASSES, reduced.d_train.n)
         topology = Topology(((s1, ActivationKind.TANH), (s2, ActivationKind.TANH)))
-        model = runner.train_final_model(topology, None, reduced,
-                                         ScgConfig(max_iter=args.scg_iters), args.seed)
+        model = runner.train_final_model(topology, None, reduced, args.scg_iters, args.seed)
         row = {"rule": rule, "s1": s1, "s2": s2, "complexity": complexity_of(d, topology)}
         for split_name in ("test", "pr"):
             scores = split_scores(model, getattr(reduced, f"d_{split_name}"), None)

@@ -334,7 +334,7 @@ def save_splits(splits: DatasetSplits, out_dir, standardization: dict | None = N
             w = csv.writer(fh)
             w.writerow(["date"] + [f"f{j + 1:03d}" for j in range(feats.shape[1])] + ["label"])
             for i in range(len(labels)):
-                w.writerow([str(dates[i])] + [repr(float(v)) for v in feats[i]] + [int(labels[i])])
+                w.writerow([str(dates[i]), *map(repr, feats[i].tolist()), int(labels[i])])
     manifest = {
         "splits": splits.spec.to_json_dict(),
         "counts": splits.counts,

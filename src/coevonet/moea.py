@@ -3,10 +3,11 @@
 Two engines share the evaluation problems defined in ``objectives``:
 
 * ``nsga2_run``: elitist non-dominated sorting with crowding tournaments,
-  augmented recombination (with configured probability a non-geometric
-  operator replaces plain uniform crossover), and per-bit mutation.
+  recombination of a pair with probability ``CROSSOVER_RATE`` (non-geometric
+  with probability ``NONGEOMETRIC_PROB``, else uniform), and per-bit mutation.
 * ``eagd_run``: a decomposition engine with Tchebycheff aggregation over a
-  simplex-lattice weight set, neighborhood mating, and an external dominance
+  simplex-lattice weight set, mating within neighborhoods of
+  ``NEIGHBORHOOD_FRACTION`` of the population, and an external dominance
   archive that both collects results and periodically supplies parents.
 
 Both stop on a function-evaluation budget (cache hits are free) and are
@@ -189,46 +190,38 @@ def bitflip_mutation(bits: np.ndarray, rate: float, rng: np.random.Generator) ->
 # engines
 # ---------------------------------------------------------------------------
 
+#: NSGA-II's recombination: the probability that a parent pair recombines,
+#: and that it does so by the non-geometric operator.
+CROSSOVER_RATE = 0.9
+NONGEOMETRIC_PROB = 0.8
+#: EAGD's crossover probability, and its neighborhood's share of the population.
+EAGD_CROSSOVER_RATE = 1.0
+NEIGHBORHOOD_FRACTION = 0.10
+
+
 @dataclass
 class Nsga2Config:
     population: int = 50
-    crossover_rate: float = 0.9
-    nongeometric_prob: float = 0.8
-    flip_prob: float | None = None      # default 1/n
-    mutation_rate: float | None = None  # default 1/n
     max_evaluations: int = 15000
     seed: int = 1
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2:
             raise ValueError("population must be even and >= 2")
-        for p in (self.crossover_rate, self.nongeometric_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
 
 
 @dataclass
 class EagdConfig:
     population: int = 50
-    crossover_rate: float = 1.0
     learning_generations: int = 8
-    neighborhood_fraction: float = 0.10
-    mutation_rate: float | None = None  # default 1/n
     max_evaluations: int = 15000
     seed: int = 1
 
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
-        for p in (self.crossover_rate, self.neighborhood_fraction):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("crossover_rate and neighborhood_fraction must lie in [0, 1]")
         if self.learning_generations < 0:
             raise ValueError("learning_generations must be >= 0")
-
-    @property
-    def neighborhood_size(self) -> int:
-        return max(2, math.ceil(self.neighborhood_fraction * self.population))
 
 
 @dataclass
@@ -313,27 +306,26 @@ def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
                     rng: np.random.Generator) -> list[str]:
     """``cfg.population`` repaired children of tournament-picked parent pairs.
 
-    With probability ``crossover_rate`` a pair recombines, by two
-    non-geometric children (probability ``nongeometric_prob``) or one uniform
-    crossover pair; otherwise it is copied. Every child is then mutated.
+    With probability ``CROSSOVER_RATE`` a pair recombines, by two
+    non-geometric children (probability ``NONGEOMETRIC_PROB``) or one uniform
+    crossover pair; otherwise it is copied. Every child is then mutated. The
+    non-geometric flip probability and the mutation rate are both 1/n.
     """
-    n = problem.n_bits
-    flip_prob = cfg.flip_prob if cfg.flip_prob is not None else 1.0 / n
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    rate = 1.0 / problem.n_bits
     offspring = []
     while len(offspring) < cfg.population:
         pa, pb = string_to_bits(pick_parent()), string_to_bits(pick_parent())
-        if rng.random() < cfg.crossover_rate:
-            if rng.random() < cfg.nongeometric_prob:
-                kids = [nongeometric_crossover(pa, pb, rng, flip_prob),
-                        nongeometric_crossover(pa, pb, rng, flip_prob)]
+        if rng.random() < CROSSOVER_RATE:
+            if rng.random() < NONGEOMETRIC_PROB:
+                kids = [nongeometric_crossover(pa, pb, rng, rate),
+                        nongeometric_crossover(pa, pb, rng, rate)]
             else:
                 kids = list(uniform_crossover(pa, pb, rng))
         else:
             kids = [pa, pb]
         for kid in kids:
             offspring.append(bits_to_string(
-                problem.repair(bitflip_mutation(kid, mutation_rate, rng), rng)))
+                problem.repair(bitflip_mutation(kid, rate, rng), rng)))
     return offspring[:cfg.population]
 
 
@@ -425,18 +417,19 @@ def simplex_lattice_weights(n_obj: int, count: int) -> np.ndarray:
 
 
 def _tchebycheff(f: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> float:
-    w = np.maximum(weights, 1e-6)
-    return float(np.max(w * np.abs(f - ideal)))
+    """Largest weighted distance of ``f`` to ``ideal``; ``eagd_run`` clamps weights to >= 1e-6."""
+    return float(np.max(weights * np.abs(f - ideal)))
 
 
 def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationStats]]:
     rng = np.random.default_rng(cfg.seed)
-    n = problem.n_bits
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    mutation_rate = 1.0 / problem.n_bits
     cap = cfg.max_evaluations
     weights = simplex_lattice_weights(3, cfg.population)
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :cfg.neighborhood_size]
+    hood_size = max(2, math.ceil(NEIGHBORHOOD_FRACTION * cfg.population))
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :hood_size]
+    weights = np.maximum(weights, 1e-6)     # Tchebycheff weights; neighborhoods use the lattice
 
     evaluated, exhausted = _evaluate_batch(
         problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
@@ -465,7 +458,8 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
                 ja, jb = rng.choice(hood, size=2, replace=len(hood) < 2)
                 pa, pb = pop_bits[ja], pop_bits[jb]
             pa, pb = string_to_bits(pa), string_to_bits(pb)
-            child = uniform_crossover(pa, pb, rng)[0] if rng.random() < cfg.crossover_rate else pa
+            # the draw stays at a rate of 1.0: it advances the RNG stream that fixed-seed runs pin
+            child = uniform_crossover(pa, pb, rng)[0] if rng.random() < EAGD_CROSSOVER_RATE else pa
             child = bits_to_string(problem.repair(bitflip_mutation(child, mutation_rate, rng), rng))
             evaluated, exhausted = _evaluate_batch(problem, [child], cap)
             if exhausted:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,17 +74,6 @@ SCG_SIGMA = 1e-4
 SCG_LAMBDA_INIT = 1e-6
 SCG_LOSS_TOL = 1e-9
 SCG_GRAD_TOL = 1e-6
-
-
-@dataclass
-class ScgConfig:
-    """The iteration budget of one SCG training."""
-
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError(f"ScgConfig max_iter {self.max_iter} must be non-negative")
 
 
 N_CLASSES = 2
@@ -228,7 +217,7 @@ class TrainedModel:
         return _forward(self.params, x, self.activations)[-1]
 
 
-def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
+def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
                   trace: list | None = None):
     """Moller's scaled conjugate gradient; returns (theta, loss, iters, aborted).
 
@@ -250,7 +239,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
     delta = 0.0
     p2 = 0.0
     iters = 0
-    for k in range(cfg.max_iter):
+    for k in range(max_iter):
         if success:
             p2 = float(p @ p)
             if p2 == 0.0 or math.sqrt(p2) < 1e-300:
@@ -308,17 +297,19 @@ def _scg_minimize(theta0, objective: _CrossEntropy, cfg: ScgConfig,
     return theta, f, iters, False
 
 
-def _minimize(theta0, sizes, activations, x, y_onehot, cfg: ScgConfig):
+def _minimize(theta0, sizes, activations, x, y_onehot, max_iter: int):
     """``_scg_minimize`` of the cross-entropy on these patterns; picklable for a worker."""
-    return _scg_minimize(theta0, _CrossEntropy(sizes, activations, x, y_onehot), cfg)
+    return _scg_minimize(theta0, _CrossEntropy(sizes, activations, x, y_onehot), max_iter)
 
 
 def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
-              cfg: ScgConfig, seed: int, processes=None) -> TrainedModel:
+              max_iter: int, seed: int, processes=None) -> TrainedModel:
     """Train on patterns whose columns are already restricted to the model inputs.
 
     The minimization runs on ``processes``, an executor of worker processes, if given.
     """
+    if max_iter < 0:
+        raise ValueError(f"SCG max_iter {max_iter} must be non-negative")
     if x.shape[0] == 0:
         raise ValueError("empty training set")
     n_inputs = x.shape[1]
@@ -327,7 +318,8 @@ def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
     y_onehot = np.zeros((len(y), N_CLASSES))
     y_onehot[:, 0] = y == 1
     y_onehot[:, 1] = y == 0
-    job = (_flatten(init_weights(topology, n_inputs, seed)), sizes, activations, x, y_onehot, cfg)
+    job = (_flatten(init_weights(topology, n_inputs, seed)), sizes, activations, x, y_onehot,
+           max_iter)
     theta, loss, iters, aborted = (_minimize(*job) if processes is None
                                    else processes.submit(_minimize, *job).result())
     if aborted:

@@ -21,7 +21,8 @@ count, and the cache, the FE count and the trace log behave the same.
 
 The scalarized single-objective variant combines overall test error and
 complexity under preference weights plus a 5x epsilon-constraint penalty on
-test/pre-regime correlation (MCC) and pre-regime error.
+test/pre-regime correlation (MCC) and pre-regime error, at the thresholds
+``EPS_TEST_MCC``, ``EPS_PR_MCC`` and ``EPS_PR_ERROR``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from . import genome as genome_mod
 from . import neural
 from .genome import SearchSpaceConfig, decode_topology, repair_feature_prefix
 from .market_data import DatasetSplits, PatternSet
-from .neural import ScgConfig
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 @dataclass
 class EvalConfig:
     cycles: int = 3
-    scg: ScgConfig = field(default_factory=ScgConfig)
+    max_iter: int = 200     # SCG iterations of one training
     master_seed: int = 0
 
     def __post_init__(self):
@@ -271,7 +271,7 @@ class _EvaluationProblem:
             train = self.splits.d_train
             x_train = train.features[:, columns] if columns is not None else train.features
             seed = cycle_seed(self.cfg.master_seed, bits_str, k)
-            model = neural.scg_train(topology, x_train, train.labels, self.cfg.scg, seed,
+            model = neural.scg_train(topology, x_train, train.labels, self.cfg.max_iter, seed,
                                      processes=processes)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
@@ -328,32 +328,33 @@ class TopologyOnlyProblem(_EvaluationProblem):
         return None, self.splits.d_train.n_features, topology
 
 
+#: Epsilon thresholds: the least test and earlier-regime MCC, the most earlier-regime error.
+EPS_TEST_MCC = 0.05
+EPS_PR_MCC = 0.05
+EPS_PR_ERROR = 0.50
+
+
 @dataclass
 class ScalarizedConfig:
-    """Preference weights and epsilon-constraint thresholds for the scalar objective."""
+    """Preference weights of the scalar objective."""
 
     theta_e: float = 0.5
     theta_c: float = 0.5
-    eps1: float = 0.05
-    eps2: float = 0.05
-    eps3: float = 0.50
 
     def __post_init__(self):
         if self.theta_e < 0 or self.theta_c < 0:
             raise ValueError("preference weights must be nonnegative")
-        if not (-1 <= self.eps1 <= 1 and -1 <= self.eps2 <= 1 and 0 <= self.eps3 <= 1):
-            raise ValueError("epsilon thresholds out of range")
 
 
-def penalty(record: EvalRecord, cfg: ScalarizedConfig) -> float:
+def penalty(record: EvalRecord) -> float:
     return 5.0 * (
-        max(0.0, cfg.eps1 - record.test_mcc)
-        + max(0.0, cfg.eps2 - record.pr_mcc)
-        + max(0.0, record.pr_error_rate - cfg.eps3)
+        max(0.0, EPS_TEST_MCC - record.test_mcc)
+        + max(0.0, EPS_PR_MCC - record.pr_mcc)
+        + max(0.0, record.pr_error_rate - EPS_PR_ERROR)
     )
 
 
 def scalarized_value(record: EvalRecord, cfg: ScalarizedConfig) -> float:
     return (cfg.theta_e * record.test_error_rate
             + cfg.theta_c * record.objectives.c
-            + penalty(record, cfg))
+            + penalty(record))

@@ -36,7 +36,7 @@ from .decision import PreferenceSpec, preference_weights, select_architecture
 from .genome import SearchSpaceConfig
 from .market_data import DatasetSplits
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
-from .neural import ActivationKind, ScgConfig, Topology
+from .neural import ActivationKind, Topology
 from .objectives import (SCORE_NAMES, CoevolutionProblem, EvalConfig, ObjectiveVector,
                          TopologyOnlyProblem, TrainingWorkers, split_scores)
 
@@ -115,8 +115,7 @@ def make_problem(splits: DatasetSplits, space: SearchSpaceConfig,
     search topologies over the reduced splits; every other algorithm searches
     the full co-evolution genome. ``workers``, when given, train its cycles.
     """
-    cfg = EvalConfig(cycles=settings.cycles, scg=ScgConfig(max_iter=settings.scg_max_iter),
-                     master_seed=run_seed)
+    cfg = EvalConfig(cycles=settings.cycles, max_iter=settings.scg_max_iter, master_seed=run_seed)
     if settings.algorithm == "topology-only":
         reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
                                             settings.reduction_k)
@@ -214,13 +213,13 @@ def record_topology(architecture: dict) -> Topology:
 
 
 def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits,
-                      scg_cfg: ScgConfig, seed: int) -> neural.TrainedModel:
+                      max_iter: int, seed: int) -> neural.TrainedModel:
     train = splits.d_train
     x = train.features[:, list(feature_indices)] if feature_indices is not None else train.features
-    return neural.scg_train(topology, x, train.labels, scg_cfg, seed)
+    return neural.scg_train(topology, x, train.labels, max_iter, seed)
 
 
-def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
+def holdout_evaluate_genome(bits: str, problem, max_iter: int, seed: int,
                             cycles: int = 1) -> dict:
     """Retrain the selected architecture at final quality; report hold-out metrics.
 
@@ -238,7 +237,7 @@ def holdout_evaluate_genome(bits: str, problem, scg_cfg: ScgConfig, seed: int,
     hold = problem.splits.open_holdout()
     scores = []
     for k in range(cycles):
-        model = train_final_model(topology, columns, problem.splits, scg_cfg, seed + k)
+        model = train_final_model(topology, columns, problem.splits, max_iter, seed + k)
         scores.append(split_scores(model, hold, columns))
     per_cycle = {name: [float(v) for v in values]
                  for name, values in zip(SCORE_NAMES, zip(*scores))}

@@ -1,11 +1,13 @@
 """Synthetic OHLCV generator with a planted set of relevant indicators.
 
-The series is a geometric random walk whose next-day direction is, with
-probability ``1 - noise``, the sign of a weighted score of a handful of
-bounded indicator features computed on the series so far; with probability
-``noise`` the direction is a fair coin. Return magnitudes are drawn
-symmetrically and their sign is forced to match the chosen direction, so the
-planted labels coincide exactly with the close-to-close movement labels.
+The series is a geometric random walk (daily log-return scale ``DAILY_VOL``,
+first close ``BASE_PRICE``, weekdays from ``START_DAY``) whose next-day
+direction is, with probability ``1 - noise``, the sign of a weighted score of
+a handful of bounded indicator features computed on the series so far; with
+probability ``noise`` the direction is a fair coin. Return magnitudes are
+drawn symmetrically and their sign is forced to match the chosen direction,
+so the planted labels coincide exactly with the close-to-close movement
+labels. The splits follow the pattern shares ``SPLIT_FRACTIONS``.
 
 ``noise = 0`` gives a deterministic function of the planted indicators;
 ``noise = 1`` is an unpredictable series (long-run accuracy of any model
@@ -57,23 +59,25 @@ def _default_planted() -> tuple[tuple[str, float, float, float], ...]:
     )
 
 
+#: The walk's first weekday, daily log-return scale and first close, and the
+#: pattern shares of the train, test, earlier-regime and hold-out splits.
+START_DAY = date(2017, 1, 2)
+DAILY_VOL = 0.012
+BASE_PRICE = 100.0
+SPLIT_FRACTIONS = (0.38, 0.35, 0.135, 0.135)
+
+
 @dataclass
 class SynthSpec:
     n_bars: int = 700
-    start_day: date = date(2017, 1, 2)
     noise: float = 0.15
-    daily_vol: float = 0.012
-    base_price: float = 100.0
     planted: tuple[tuple[str, float, float, float], ...] = field(default_factory=_default_planted)
-    split_fractions: tuple[float, float, float, float] = (0.38, 0.35, 0.135, 0.135)
 
     def __post_init__(self):
         if not 0.0 <= self.noise <= 1.0:
             raise SynthError(f"noise {self.noise} outside [0, 1]")
         if self.n_bars < WARMUP_BARS + 10:
             raise SynthError(f"n_bars {self.n_bars} too small for the {WARMUP_BARS}-bar warm-up")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise SynthError("split fractions must sum to 1")
 
 
 @dataclass
@@ -119,37 +123,37 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[OhlcvSeries, SplitSpec, 
     # by rise[t] or fall[t], up or down as its score says, or as its fair coin
     # says where scored[t] is False.
     step = np.empty(n)
-    step[0] = spec.base_price
+    step[0] = BASE_PRICE
     open_f, high_f, low_f, volumes = np.ones(n), np.ones(n), np.ones(n), np.empty(n)
     high_f[0], low_f[0], volumes[0] = 1.002, 0.998, 1e6
     rise, fall = np.empty(n), np.empty(n)
     scored, up = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
 
     def draw_bar(t: int):
-        open_f[t] = float(np.exp(rng.normal(0.0, spec.daily_vol / 3.0)))
-        high_f[t] = float(np.exp(abs(rng.normal(0.0, spec.daily_vol / 2.0))))
-        low_f[t] = float(np.exp(-abs(rng.normal(0.0, spec.daily_vol / 2.0))))
+        open_f[t] = float(np.exp(rng.normal(0.0, DAILY_VOL / 3.0)))
+        high_f[t] = float(np.exp(abs(rng.normal(0.0, DAILY_VOL / 2.0))))
+        low_f[t] = float(np.exp(-abs(rng.normal(0.0, DAILY_VOL / 2.0))))
         volumes[t] = float(np.round(1e6 * np.exp(rng.normal(0.0, 0.3))))
 
     for t in range(1, burn_in + 1):
-        step[t] = float(np.exp(rng.normal(0.0, spec.daily_vol)))
+        step[t] = float(np.exp(rng.normal(0.0, DAILY_VOL)))
         draw_bar(t)
     for t in range(burn_in, n - 1):
         if rng.random() < spec.noise:
             scored[t], up[t] = False, rng.random() < 0.5
-        magnitude = abs(rng.normal(0.0, spec.daily_vol)) + 1e-6
+        magnitude = abs(rng.normal(0.0, DAILY_VOL)) + 1e-6
         rise[t] = float(np.exp(magnitude))
         fall[t] = float(np.exp(-magnitude))
         draw_bar(t + 1)
 
-    days = _weekdays(spec.start_day, n)
+    days = _weekdays(START_DAY, n)
     dates = np.array(days, dtype="datetime64[D]")
     moves = slice(burn_in, n - 1)
     scored, up = scored[moves], up[moves]
     for _ in range(n - burn_in):    # each round makes one more direction final at least
         step[burn_in + 1:] = np.where(up, rise[moves], fall[moves])
         closes = np.multiply.accumulate(step)
-        opens = np.concatenate(([spec.base_price], closes[:-1])) * open_f
+        opens = np.concatenate(([BASE_PRICE], closes[:-1])) * open_f
         highs = np.maximum(opens, closes) * high_f
         lows = np.minimum(opens, closes) * low_f
         series = OhlcvSeries(dates, opens, highs, lows, closes, volumes)
@@ -166,7 +170,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[OhlcvSeries, SplitSpec, 
     # split boundaries positioned so pattern counts follow the quota fractions
     pattern_days = days[WARMUP_BARS:n - 1]
     n_pat = len(pattern_days)
-    cum = np.cumsum(spec.split_fractions)
+    cum = np.cumsum(SPLIT_FRACTIONS)
     cut = [int(round(c * n_pat)) for c in cum[:3]]
     boundaries = [
         pattern_days[0],

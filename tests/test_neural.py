@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevonet.neural import (
-    ActivationKind, ConfusionCounts, ScgConfig, Topology, TrainedModel, _activate, _CrossEntropy,
+    ActivationKind, ConfusionCounts, Topology, TrainedModel, _activate, _CrossEntropy,
     _flatten, _layer_sizes, _scg_minimize, accuracy, balanced_accuracy, balanced_error,
     confusion, init_weights, mcc, predict, scg_train,
 )
@@ -100,10 +100,9 @@ XOR_Y = np.array([0, 1, 1, 0])
 class TestScgTraining:
     def test_xor_most_seeds(self):
         topo = Topology(((4, TANH),))
-        cfg = ScgConfig(max_iter=500)
         wins = 0
         for seed in range(10):
-            model = scg_train(topo, XOR_X, XOR_Y, cfg, seed)
+            model = scg_train(topo, XOR_X, XOR_Y, 500, seed)
             if np.array_equal(predict(model, XOR_X), XOR_Y):
                 wins += 1
         assert wins >= 9
@@ -112,7 +111,7 @@ class TestScgTraining:
         topo = Topology(((3, SIG),))
         x = np.random.default_rng(0).normal(size=(10, 2))
         y = np.array([0, 1] * 5)
-        model = scg_train(topo, x, y, ScgConfig(max_iter=0), seed=5)
+        model = scg_train(topo, x, y, 0, seed=5)
         init = init_weights(topo, 2, seed=5)
         for (w0, b0), (w1, b1) in zip(init, model.params):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
@@ -122,7 +121,7 @@ class TestScgTraining:
         x = np.vstack([rng.normal([2, 2], 0.4, size=(100, 2)),
                        rng.normal([-2, -2], 0.4, size=(100, 2))])
         y = np.array([1] * 100 + [0] * 100)
-        model = scg_train(Topology(()), x, y, ScgConfig(max_iter=200), seed=1)
+        model = scg_train(Topology(()), x, y, 200, seed=1)
         acc = (predict(model, x) == y).mean()
         assert acc >= 0.99
 
@@ -138,8 +137,7 @@ class TestScgTraining:
         y1h[:, 1] = y == 0
         theta0 = _flatten(init_weights(topo, 3, seed=11))
         trace = []
-        _scg_minimize(theta0, _CrossEntropy(sizes, acts, x, y1h),
-                      ScgConfig(max_iter=120), trace=trace)
+        _scg_minimize(theta0, _CrossEntropy(sizes, acts, x, y1h), 120, trace=trace)
         assert len(trace) > 5
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -162,7 +160,7 @@ class TestScgTraining:
         rng = np.random.default_rng(123)
         x = rng.normal(size=(60, 4))
         y = (x[:, 0] - 0.5 * x[:, 1] + 0.4 * rng.normal(size=60) > 0).astype(int)
-        model = scg_train(Topology(layers), x, y, ScgConfig(max_iter=80), seed=17)
+        model = scg_train(Topology(layers), x, y, 80, seed=17)
         raw = b"".join(np.ascontiguousarray(a).tobytes() for w, b in model.params for a in (w, b))
         assert hashlib.sha256(raw).hexdigest() == digest
         assert model.final_loss == final_loss
@@ -182,7 +180,7 @@ class TestScgTraining:
             theta0 = _flatten(init_weights(topo, 34, seed=4))
             tracemalloc.start()
             try:
-                _scg_minimize(theta0, objective, ScgConfig(max_iter=20))
+                _scg_minimize(theta0, objective, 20)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -192,7 +190,7 @@ class TestScgTraining:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            scg_train(Topology(()), np.zeros((0, 2)), np.zeros(0), ScgConfig(), 0)
+            scg_train(Topology(()), np.zeros((0, 2)), np.zeros(0), 200, 0)
 
 
 class TestPredict:

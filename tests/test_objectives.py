@@ -14,7 +14,7 @@ from conftest import evaluate, make_planted_splits
 from coevonet import moea, neural
 from coevonet.genome import SearchSpaceConfig, encode, Architecture
 from coevonet.market_data import PatternSet
-from coevonet.neural import ActivationKind, ScgConfig, Topology
+from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
     CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector, ScalarizedConfig,
     TopologyOnlyProblem, TrainingWorkers, cycle_seed, penalty, scalarized_value, split_scores,
@@ -22,7 +22,7 @@ from coevonet.objectives import (
 
 TANH = ActivationKind.TANH
 SPACE = SearchSpaceConfig(n_features=8)  # matches the tiny planted splits
-FAST = ScgConfig(max_iter=40)
+FAST = 40      # SCG iterations
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +49,13 @@ class TestObjectiveVector:
 class TestEvaluate:
     def test_deterministic_across_calls(self, splits):
         bits = genome_for([0, 1], [(3, TANH)])
-        cfg = EvalConfig(cycles=1, scg=FAST, master_seed=5)
+        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=5)
         v1 = evaluate(bits, splits, cfg, SPACE)
         v2 = evaluate(bits, splits, cfg, SPACE)
         assert v1 == v2
 
     def test_components_within_bounds(self, splits):
-        cfg = EvalConfig(cycles=2, scg=FAST, master_seed=5)
+        cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=5)
         problem = CoevolutionProblem(splits, SPACE, cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -65,7 +65,7 @@ class TestEvaluate:
 
     def test_cycle_mean_property(self, splits):
         bits = genome_for([0, 2], [(4, TANH)])
-        cfg = EvalConfig(cycles=3, scg=FAST, master_seed=9)
+        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
         rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(bits)
         # independently seeded single-cycle trainings reproduce the mean
         singles = []
@@ -81,19 +81,19 @@ class TestEvaluate:
 
     def test_mother_complexity_is_one(self, splits):
         bits = genome_for(range(8), [(127, TANH), (127, TANH)])
-        cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=5), master_seed=1)
+        cfg = EvalConfig(cycles=1, max_iter=5, master_seed=1)
         assert evaluate(bits, splits, cfg, SPACE).c == 1.0
 
     def test_direct_network_learns_separable_problem(self, splits):
         # the planted label is sign(feature 0): no hidden layer needed
         bits = genome_for([0])
-        cfg = EvalConfig(cycles=1, scg=ScgConfig(max_iter=100), master_seed=3)
+        cfg = EvalConfig(cycles=1, max_iter=100, master_seed=3)
         vec = evaluate(bits, splits, cfg, SPACE)
         assert vec.e_cv < 0.5
         assert vec.e_pr < 0.5
 
     def test_cache_and_fe_accounting(self, splits):
-        cfg = EvalConfig(cycles=1, scg=FAST, master_seed=2)
+        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=2)
         problem = CoevolutionProblem(splits, SPACE, cfg)
         bits = genome_for([1, 3], [(2, TANH)])
         problem.evaluate(bits)
@@ -106,7 +106,7 @@ class TestEvaluate:
             return neural.TrainedModel(topology, [], float("nan"), 0, aborted=True)
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
-        cfg = EvalConfig(cycles=2, scg=FAST, master_seed=2)
+        cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=2)
         rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(genome_for([0]))
         assert rec.objectives.e_cv == 1.0
         assert rec.objectives.e_pr == 1.0
@@ -114,13 +114,13 @@ class TestEvaluate:
 
     def test_sealed_holdout_never_read(self, splits):
         # evaluation touches pr/train/test only; a sealed hold split is fine
-        cfg = EvalConfig(cycles=1, scg=FAST, master_seed=1)
+        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
         assert splits.d_hold.sealed
         evaluate(genome_for([0]), splits, cfg, SPACE)
 
     def test_trace_log_written(self, splits, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        cfg = EvalConfig(cycles=1, scg=FAST, master_seed=1)
+        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
         problem = CoevolutionProblem(splits, SPACE, cfg, trace_path=trace)
         problem.evaluate(genome_for([0, 1]))
         import json
@@ -135,7 +135,7 @@ class TestConcurrentCycles:
     def test_three_cycle_record_equals_serial_cycles(self, splits):
         columns, topology = [0, 2, 5], Topology(((4, TANH), (3, ActivationKind.SIGMOID)))
         bits = genome_for(columns, topology.layers)
-        cfg = EvalConfig(cycles=3, scg=FAST, master_seed=9)
+        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
         rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(bits)
         rows = []
         for k in (1, 2, 3):
@@ -168,7 +168,7 @@ class TestConcurrentCycles:
 
     def test_one_training_per_cycle_and_none_for_cache_hits(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=3, scg=FAST))
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=3, max_iter=FAST))
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         for bits in genomes + genomes:
             problem.evaluate(bits)
@@ -177,13 +177,13 @@ class TestConcurrentCycles:
 
     def test_single_cycle_trains_on_the_calling_thread(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        CoevolutionProblem(splits, SPACE, EvalConfig(cycles=1, scg=FAST)).evaluate(
+        CoevolutionProblem(splits, SPACE, EvalConfig(cycles=1, max_iter=FAST)).evaluate(
             genome_for([0, 1], [(3, TANH)]))
         assert threads == [threading.get_ident()]
 
     def test_start_without_workers_trains_when_evaluate_collects(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST))
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST))
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         problem.start(genomes)
         assert threads == []
@@ -192,7 +192,7 @@ class TestConcurrentCycles:
 
     def test_queued_genomes_hold_no_copy_of_the_training_matrix(self):
         splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST))
+        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST))
         rng = np.random.default_rng(0)
         genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
         tracemalloc.start()
@@ -212,7 +212,7 @@ class TestConcurrentCycles:
         jobs.append((Topology(((5, ActivationKind.SIGMOID),)), 4))
 
         def train(job):
-            return neural.scg_train(job[0], x, y, ScgConfig(max_iter=60), job[1])
+            return neural.scg_train(job[0], x, y, 60, job[1])
 
         serial = [train(job) for job in jobs]
         interval = sys.getswitchinterval()
@@ -235,7 +235,7 @@ class TestTrainingWorkers:
                genome_for([0, 1, 5], [(3, ActivationKind.SIGMOID), (2, TANH)])]
 
     def test_started_batch_records_equal_inline_records(self, splits):
-        cfg = EvalConfig(cycles=3, scg=FAST, master_seed=9)
+        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
         inline = CoevolutionProblem(splits, SPACE, cfg)
         with TrainingWorkers() as workers:
             pooled = CoevolutionProblem(splits, SPACE, cfg, workers=workers)
@@ -254,7 +254,7 @@ class TestTrainingWorkers:
 
         monkeypatch.setattr(neural, "scg_train", counted)
         with TrainingWorkers() as workers:
-            problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, scg=FAST),
+            problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST),
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
             moea._evaluate_batch(problem, self.GENOMES, cap=10)
@@ -266,7 +266,7 @@ class TestTrainingWorkers:
         train = splits.d_train
         huge = dataclasses.replace(
             splits, d_train=PatternSet(train.features * 1e300, train.labels, train.dates))
-        cfg = EvalConfig(cycles=2, scg=FAST)
+        cfg = EvalConfig(cycles=2, max_iter=FAST)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
             with TrainingWorkers() if in_workers else contextlib.nullcontext() as workers:
@@ -278,7 +278,7 @@ class TestTrainingWorkers:
 
 class TestTopologyOnly:
     def test_sixteen_bit_genomes(self, splits):
-        cfg = EvalConfig(cycles=1, scg=FAST, master_seed=1)
+        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
         problem = TopologyOnlyProblem(splits, SPACE, cfg)
         assert problem.n_bits == 16
         rec = problem.evaluate("0010010" + "1" + "0000000" + "0")
@@ -298,18 +298,16 @@ class TestScalarized:
     def test_no_penalty_when_constraints_hold(self):
         cfg = ScalarizedConfig(theta_e=0.5, theta_c=0.5)
         rec = self.make_record()
-        assert penalty(rec, cfg) == 0.0
+        assert penalty(rec) == 0.0
         assert scalarized_value(rec, cfg) == pytest.approx(0.5 * 0.3 + 0.5 * 0.2)
 
     def test_mcc_shortfall_penalty(self):
-        cfg = ScalarizedConfig(eps1=0.2)
-        rec = self.make_record(test_mcc=0.1)
-        assert penalty(rec, cfg) == pytest.approx(0.5)
+        rec = self.make_record(test_mcc=-0.05)     # 0.10 short of EPS_TEST_MCC
+        assert penalty(rec) == pytest.approx(0.5)
 
     def test_pr_error_threshold_penalty(self):
-        cfg = ScalarizedConfig(eps3=0.25)
-        rec = self.make_record(pr_err=0.45)
-        assert penalty(rec, cfg) == pytest.approx(5 * 0.2)
+        rec = self.make_record(pr_err=0.70)        # 0.20 above EPS_PR_ERROR
+        assert penalty(rec) == pytest.approx(5 * 0.2)
 
     def test_penalty_free_always_preferred_at_equal_weighted_sum(self):
         cfg = ScalarizedConfig()
@@ -325,7 +323,5 @@ class TestScalarized:
         assert SCALARIZED_SCENARIOS["complexity"].theta_c == 0.75
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ScalarizedConfig(eps1=2.0)
         with pytest.raises(ValueError):
             ScalarizedConfig(theta_e=-0.1)

@@ -7,7 +7,6 @@ from conftest import is_dominance_fixed_point, make_planted_splits
 from coevonet import baselines, runner
 from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import merge_archives
-from coevonet.neural import ScgConfig
 from coevonet.objectives import SCORE_NAMES
 
 SPACE = SearchSpaceConfig(n_features=8)
@@ -68,18 +67,17 @@ def test_settings_reject_empty_searches(overrides):
 def test_holdout_decodes_through_the_run_problem(splits, algorithm):
     archive, _, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
     bits = archive.members()[0][0]
-    result = runner.holdout_evaluate_genome(bits, problem, ScgConfig(max_iter=10), seed=1,
-                                            cycles=2)
+    result = runner.holdout_evaluate_genome(bits, problem, 10, seed=1, cycles=2)
     assert result["genome"] == bits and result["cycles"] == 2
     assert all(0.0 <= result[name] <= 1.0 for name in ("accuracy", "balanced_error"))
 
 
 def test_holdout_reports_every_cycle_and_the_spread(splits):
     archive, _, problem = runner.run_single_seed(splits, SPACE, _settings("nsga2"), 3)
-    bits, scg = archive.members()[0][0], ScgConfig(max_iter=10)
-    result = runner.holdout_evaluate_genome(bits, problem, scg, seed=4, cycles=3)
+    bits = archive.members()[0][0]
+    result = runner.holdout_evaluate_genome(bits, problem, 10, seed=4, cycles=3)
     for k in range(3):
-        single = runner.holdout_evaluate_genome(bits, problem, scg, seed=4 + k)
+        single = runner.holdout_evaluate_genome(bits, problem, 10, seed=4 + k)
         for name in SCORE_NAMES:
             assert result["per_cycle"][name][k] == single[name] == single["per_cycle"][name][0]
             assert single["std"][name] == 0.0

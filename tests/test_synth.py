@@ -59,20 +59,20 @@ def walk_bar_by_bar(spec, seed):
 
     def fill_bar(t, close, prev_close):
         closes[t] = close
-        opens[t] = prev_close * float(np.exp(rng.normal(0.0, spec.daily_vol / 3.0)))
+        opens[t] = prev_close * float(np.exp(rng.normal(0.0, synth.DAILY_VOL / 3.0)))
         hi = max(opens[t], close)
         lo = min(opens[t], close)
-        highs[t] = hi * float(np.exp(abs(rng.normal(0.0, spec.daily_vol / 2.0))))
-        lows[t] = lo * float(np.exp(-abs(rng.normal(0.0, spec.daily_vol / 2.0))))
+        highs[t] = hi * float(np.exp(abs(rng.normal(0.0, synth.DAILY_VOL / 2.0))))
+        lows[t] = lo * float(np.exp(-abs(rng.normal(0.0, synth.DAILY_VOL / 2.0))))
         volumes[t] = float(np.round(1e6 * np.exp(rng.normal(0.0, 0.3))))
 
-    closes[0] = opens[0] = spec.base_price
-    highs[0] = spec.base_price * 1.002
-    lows[0] = spec.base_price * 0.998
+    closes[0] = opens[0] = synth.BASE_PRICE
+    highs[0] = synth.BASE_PRICE * 1.002
+    lows[0] = synth.BASE_PRICE * 0.998
     volumes[0] = 1e6
     burn_in = market_data.WARMUP_BARS
     for t in range(1, burn_in + 1):
-        fill_bar(t, closes[t - 1] * float(np.exp(rng.normal(0.0, spec.daily_vol))), closes[t - 1])
+        fill_bar(t, closes[t - 1] * float(np.exp(rng.normal(0.0, synth.DAILY_VOL))), closes[t - 1])
     day0 = np.datetime64("2000-01-03")
     for t in range(burn_in, n - 1):
         prefix = market_data.OhlcvSeries(
@@ -85,7 +85,7 @@ def walk_bar_by_bar(spec, seed):
             up = rng.random() < 0.5
         else:
             up = score > 0.0
-        magnitude = abs(rng.normal(0.0, spec.daily_vol)) + 1e-6
+        magnitude = abs(rng.normal(0.0, synth.DAILY_VOL)) + 1e-6
         fill_bar(t + 1, closes[t] * float(np.exp(magnitude if up else -magnitude)), closes[t])
     return opens, highs, lows, closes, volumes
 
