@@ -458,7 +458,7 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
                 ja, jb = rng.choice(hood, size=2, replace=len(hood) < 2)
                 pa, pb = pop_bits[ja], pop_bits[jb]
             pa, pb = string_to_bits(pa), string_to_bits(pb)
-            # the draw stays at a rate of 1.0: it advances the RNG stream that fixed-seed runs pin
+            # drawn although the rate is 1.0: the draw advances the RNG stream fixed seeds pin
             child = uniform_crossover(pa, pb, rng)[0] if rng.random() < EAGD_CROSSOVER_RATE else pa
             child = bits_to_string(problem.repair(bitflip_mutation(child, mutation_rate, rng), rng))
             evaluated, exhausted = _evaluate_batch(problem, [child], cap)

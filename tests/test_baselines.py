@@ -188,7 +188,7 @@ class TestSearchBaselines:
             cfs_select(train.features, train.labels).feature_indices
         pca = fit_reduction("pca", train, 3, variance_target=0.5)
         assert pca.method == "PCA"
-        assert pca.n_retained == pca_reduce(train.features, 0.5).n_components
+        assert pca.n_retained == pca_reduce(train.features, variance_target=0.5).n_components
         with pytest.raises(BaselineError):
             fit_reduction("lasso", train, 3)
 

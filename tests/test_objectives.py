@@ -22,7 +22,7 @@ from coevonet.objectives import (
 
 TANH = ActivationKind.TANH
 SPACE = SearchSpaceConfig(n_features=8)  # matches the tiny planted splits
-FAST = 40      # SCG iterations
+FAST = 40  # SCG iterations
 
 
 @pytest.fixture(scope="module")
