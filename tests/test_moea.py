@@ -292,8 +292,10 @@ class TestEngines:
         assert p1.fe_count <= 150
         assert is_dominance_fixed_point(a1)
 
+    # Ids keep the case names fixed; bad2 and bad3 tested fields that became constants.
     @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0),
-                                     dict(learning_generations=-1)])
+                                     dict(learning_generations=-1)],
+                             ids=["bad0", "bad1", "bad4"])
     def test_eagd_config_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
             EagdConfig(**bad)
