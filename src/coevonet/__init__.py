@@ -23,7 +23,7 @@ del _var
 __version__ = "0.1.0"
 
 from .decision import PreferenceSpec, mtd_select, preference_weights
-from .genome import Architecture, SearchSpaceConfig, decode, encode
+from .genome import Architecture, decode, encode
 from .market_data import (DatasetSplits, OhlcvSeries, PatternSet, SplitSpec,
                           build_patterns, load_ohlcv_csv, split_by_dates)
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, eagd_run, hypervolume, nsga2_run
@@ -33,7 +33,7 @@ from .objectives import EvalConfig, ObjectiveVector
 __all__ = [
     "ActivationKind", "Architecture", "DatasetSplits", "EagdConfig", "EvalConfig",
     "Nsga2Config", "ObjectiveVector", "OhlcvSeries", "ParetoArchive", "PatternSet",
-    "PreferenceSpec", "SearchSpaceConfig", "SplitSpec", "Topology", "build_patterns",
+    "PreferenceSpec", "SplitSpec", "Topology", "build_patterns",
     "decode", "eagd_run", "encode", "hypervolume", "load_ohlcv_csv", "mtd_select",
     "nsga2_run", "predict", "preference_weights", "scg_train", "split_by_dates",
 ]

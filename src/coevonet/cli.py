@@ -52,7 +52,7 @@ import numpy as np
 from . import baselines, indicators, market_data, runner, synth
 from .baselines import BaselineError
 from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
-from .genome import GenomeError, SearchSpaceConfig, complexity_of
+from .genome import GenomeError, complexity_of
 from .indicators import IndicatorError
 from .market_data import MarketDataError, SplitSpec
 from .neural import N_CLASSES, ActivationKind, Topology
@@ -174,7 +174,7 @@ def cmd_search(args) -> int:
         population=args.population, reduction=args.reduction,
         reduction_k=args.reduction_k, scenario=args.scenario,
     )
-    merged, meta = runner.run_search_protocol(splits, SearchSpaceConfig(), settings, out)
+    merged, meta = runner.run_search_protocol(splits, settings, out)
     print(f"search: merged archive of {len(merged)} architectures -> {out} "
           f"(config_hash={meta['config_hash']})")
     return 0
@@ -230,7 +230,7 @@ def cmd_holdout_eval(args) -> int:
         raise MarketDataError(f"no selection at {sel_path}; run `coevonet select` first")
     record = json.loads(sel_path.read_text())
     settings = runner.SearchSettings(**_merged_archive(args.run)[1].get("settings", {}))
-    problem = runner.make_problem(splits, SearchSpaceConfig(), settings, settings.master_seed)
+    problem = runner.make_problem(splits, settings, settings.master_seed)
     result = runner.holdout_evaluate_genome(
         record["genome"], problem, args.scg_iters, seed=args.seed, cycles=args.cycles)
     result["config_hash"] = record.get("config_hash", "")
@@ -254,7 +254,8 @@ def cmd_baseline(args) -> int:
         s1, s2 = baselines.rule_of_thumb(rule, d, N_CLASSES, reduced.d_train.n)
         topology = Topology(((s1, ActivationKind.TANH), (s2, ActivationKind.TANH)))
         model = runner.train_final_model(topology, None, reduced, args.scg_iters, args.seed)
-        row = {"rule": rule, "s1": s1, "s2": s2, "complexity": complexity_of(d, topology)}
+        row = {"rule": rule, "s1": s1, "s2": s2,
+               "complexity": complexity_of(d, topology, splits.d_train.n_features)}
         for split_name in ("test", "pr"):
             scores = split_scores(model, getattr(reduced, f"d_{split_name}"), None)
             row.update({f"{split_name}_{name}": v for name, v in zip(SCORE_NAMES, scores)})

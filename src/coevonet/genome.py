@@ -1,8 +1,10 @@
 """Binary encoding of candidate architectures and the complexity measure.
 
 A genome is a fixed-length bit string (a ``str`` of "0" and "1"): the first
-``n_features`` bits select the input feature subset (at least one bit must
-be set); each subsequent 8-bit block encodes one hidden layer, 7 big-endian
+``n_features`` bits, one per data column, select the input feature subset
+(at least one bit must be set), so the prefix is the network's input layer
+and as wide as the data; each of the ``N_LAYERS`` blocks of
+``BITS_PER_LAYER`` bits that follow encodes one hidden layer, 7 big-endian
 size bits followed by one activation bit (1 = sigmoid, 0 = tanh). Genomes
 travel as strings from ``repair`` to the artifacts; uint8 arrays exist only
 inside variation (``moea``) and decoding.
@@ -26,23 +28,11 @@ class GenomeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchSpaceConfig:
-    n_features: int = 68
-    n_layers: int = 2
-    bits_per_layer: int = 8
-
-    @property
-    def s_max(self) -> int:
-        return 2 ** (self.bits_per_layer - 1) - 1
-
-    @property
-    def genome_length(self) -> int:
-        return self.n_features + self.n_layers * self.bits_per_layer
-
-    @property
-    def topology_bits(self) -> int:
-        return self.n_layers * self.bits_per_layer
+#: Hidden-layer slots of a genome, and the bits of each: 7 size bits, then the activation.
+N_LAYERS = 2
+BITS_PER_LAYER = 8
+S_MAX = 2 ** (BITS_PER_LAYER - 1) - 1      # the largest layer size, 127
+TOPOLOGY_BITS = N_LAYERS * BITS_PER_LAYER
 
 
 @dataclass(frozen=True)
@@ -78,70 +68,64 @@ def decode_layer_block(block: np.ndarray) -> tuple[int, ActivationKind]:
     return size, act
 
 
-def encode_layer_block(size: int, act: ActivationKind, bits_per_layer: int) -> np.ndarray:
-    s_max = 2 ** (bits_per_layer - 1) - 1
-    if not 0 <= size <= s_max:
-        raise GenomeError(f"layer size {size} outside [0, {s_max}]")
-    block = np.zeros(bits_per_layer, dtype=np.uint8)
-    for p in range(bits_per_layer - 1):
-        block[p] = (size >> (bits_per_layer - 2 - p)) & 1
+def encode_layer_block(size: int, act: ActivationKind) -> np.ndarray:
+    if not 0 <= size <= S_MAX:
+        raise GenomeError(f"layer size {size} outside [0, {S_MAX}]")
+    block = np.zeros(BITS_PER_LAYER, dtype=np.uint8)
+    for p in range(BITS_PER_LAYER - 1):
+        block[p] = (size >> (BITS_PER_LAYER - 2 - p)) & 1
     block[-1] = 1 if ActivationKind(act) == ActivationKind.SIGMOID else 0
     return block
 
 
-def decode_topology(bits: np.ndarray, cfg: SearchSpaceConfig) -> Topology:
-    if bits.shape != (cfg.topology_bits,):
-        raise GenomeError(f"expected {cfg.topology_bits} topology bits, got {bits.shape}")
-    layers = []
-    for k in range(cfg.n_layers):
-        block = bits[k * cfg.bits_per_layer:(k + 1) * cfg.bits_per_layer]
-        layers.append(decode_layer_block(block))
-    return Topology(tuple(layers))
+def decode_topology(bits: np.ndarray) -> Topology:
+    if bits.shape != (TOPOLOGY_BITS,):
+        raise GenomeError(f"expected {TOPOLOGY_BITS} topology bits, got {bits.shape}")
+    return Topology(tuple(decode_layer_block(block)
+                          for block in bits.reshape(N_LAYERS, BITS_PER_LAYER)))
 
 
-def decode(genome: str, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> Architecture:
+def decode(genome: str, n_features: int) -> Architecture:
     bits = string_to_bits(genome)
-    if bits.shape != (cfg.genome_length,):
-        raise GenomeError(f"genome length {bits.shape} differs from expected {cfg.genome_length}")
-    feature_idx = tuple(int(i) for i in np.flatnonzero(bits[:cfg.n_features]))
+    if bits.shape != (n_features + TOPOLOGY_BITS,):
+        raise GenomeError(f"genome length {bits.size} differs from the expected "
+                          f"{n_features + TOPOLOGY_BITS}: {n_features} feature bits, one per "
+                          f"data column, and {TOPOLOGY_BITS} topology bits")
+    feature_idx = tuple(int(i) for i in np.flatnonzero(bits[:n_features]))
     if not feature_idx:
         raise GenomeError("empty feature subset (all feature bits zero)")
-    topology = decode_topology(bits[cfg.n_features:], cfg)
-    return Architecture(feature_idx, topology)
+    return Architecture(feature_idx, decode_topology(bits[n_features:]))
 
 
-def encode(arch: Architecture, cfg: SearchSpaceConfig = SearchSpaceConfig()) -> str:
-    bits = np.zeros(cfg.genome_length, dtype=np.uint8)
+def encode(arch: Architecture, n_features: int) -> str:
+    bits = np.zeros(n_features + TOPOLOGY_BITS, dtype=np.uint8)
     for i in arch.feature_indices:
-        if not 0 <= i < cfg.n_features:
-            raise GenomeError(f"feature index {i} outside [0, {cfg.n_features})")
+        if not 0 <= i < n_features:
+            raise GenomeError(f"feature index {i} outside [0, {n_features})")
         bits[i] = 1
     layers = list(arch.topology.layers)
-    if len(layers) > cfg.n_layers:
-        raise GenomeError(f"{len(layers)} layers exceed the maximum {cfg.n_layers}")
-    layers += [(0, ActivationKind.TANH)] * (cfg.n_layers - len(layers))
-    for k, (size, act) in enumerate(layers):
-        start = cfg.n_features + k * cfg.bits_per_layer
-        bits[start:start + cfg.bits_per_layer] = encode_layer_block(size, act, cfg.bits_per_layer)
+    if len(layers) > N_LAYERS:
+        raise GenomeError(f"{len(layers)} layers exceed the maximum {N_LAYERS}")
+    layers += [(0, ActivationKind.TANH)] * (N_LAYERS - len(layers))
+    bits[n_features:] = np.concatenate([encode_layer_block(size, act) for size, act in layers])
     return bits_to_string(bits)
 
 
-def complexity_of(n_selected: int, topology: Topology,
-                  cfg: SearchSpaceConfig = SearchSpaceConfig()) -> float:
-    """Normalized architectural complexity in [0, 1]."""
+def complexity_of(n_selected: int, topology: Topology, n_features: int) -> float:
+    """Normalized architectural complexity in [0, 1] over ``n_features`` data columns."""
     active = topology.active_layers
-    feature_term = n_selected / cfg.n_features
-    layer_term = len(active) / cfg.n_layers
+    feature_term = n_selected / n_features
+    layer_term = len(active) / N_LAYERS
     if active:
-        size_term = sum(s for s, _ in active) / cfg.s_max / len(active)
+        size_term = sum(s for s, _ in active) / S_MAX / len(active)
     else:
         size_term = 0.0
     return (feature_term + layer_term + size_term) / 3.0
 
 
-def repair_feature_prefix(bits: np.ndarray, cfg: SearchSpaceConfig,
+def repair_feature_prefix(bits: np.ndarray, n_features: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Set one random feature bit if the prefix is all zero (in place)."""
-    if not bits[:cfg.n_features].any():
-        bits[int(rng.integers(cfg.n_features))] = 1
+    if not bits[:n_features].any():
+        bits[int(rng.integers(n_features))] = 1
     return bits

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import genome as genome_mod
 from . import neural
-from .genome import SearchSpaceConfig, decode_topology, repair_feature_prefix
+from .genome import TOPOLOGY_BITS, decode_topology, repair_feature_prefix
 from .market_data import DatasetSplits, PatternSet
 
 logger = logging.getLogger(__name__)
@@ -200,10 +200,9 @@ def _record(c: float, rows) -> EvalRecord:
 class _EvaluationProblem:
     """Shared machinery: bitstring cache, FE accounting, cycle loop, trace log."""
 
-    def __init__(self, splits: DatasetSplits, space: SearchSpaceConfig,
-                 cfg: EvalConfig, trace_path=None, workers: TrainingWorkers | None = None):
+    def __init__(self, splits: DatasetSplits, cfg: EvalConfig, trace_path=None,
+                 workers: TrainingWorkers | None = None):
         self.splits = splits
-        self.space = space
         self.cfg = cfg
         self.cache: dict[str, EvalRecord] = {}
         self.fe_count = 0
@@ -212,8 +211,9 @@ class _EvaluationProblem:
         self._workers = workers
         self._started: dict[str, tuple] = {}    # bits -> (complexity, calls giving cycle rows)
 
-    # subclasses define n_bits, repair(bits, rng) and decode(bits_str), which
-    # returns (input columns or None for all, input count, topology)
+    # subclasses define n_features (the data columns that complexity charges
+    # against), n_bits, repair(bits, rng) and decode(bits_str), which returns
+    # (input columns or None for all, input count, topology)
 
     def describe(self, bits_str: str) -> dict:
         """The architecture record of a genome, as every artifact stores it.
@@ -265,7 +265,7 @@ class _EvaluationProblem:
         genomes holds no copies of the training matrix.
         """
         columns, n_selected, topology = self.decode(bits_str)
-        c = genome_mod.complexity_of(n_selected, topology, self.space)
+        c = genome_mod.complexity_of(n_selected, topology, self.n_features)
 
         def one_cycle(k, processes=None):
             train = self.splits.d_train
@@ -295,17 +295,21 @@ class _EvaluationProblem:
 
 
 class CoevolutionProblem(_EvaluationProblem):
-    """Full genome: feature-subset prefix plus hidden-layer blocks."""
+    """Full genome: a feature-subset prefix, one bit per data column, then hidden-layer blocks."""
+
+    @property
+    def n_features(self) -> int:
+        return self.splits.d_train.n_features
 
     @property
     def n_bits(self) -> int:
-        return self.space.genome_length
+        return self.n_features + TOPOLOGY_BITS
 
     def repair(self, bits: np.ndarray, rng) -> np.ndarray:
-        return repair_feature_prefix(bits, self.space, rng)
+        return repair_feature_prefix(bits, self.n_features, rng)
 
     def decode(self, bits_str: str):
-        arch = genome_mod.decode(bits_str, self.space)
+        arch = genome_mod.decode(bits_str, self.n_features)
         return arch.feature_indices, len(arch.feature_indices), arch.topology
 
 
@@ -313,18 +317,22 @@ class TopologyOnlyProblem(_EvaluationProblem):
     """Topology bits only; the feature subset was fixed a priori.
 
     ``splits`` must already be restricted (or projected) to the fixed inputs;
-    complexity charges their count against the full-catalog size.
+    complexity charges their count against ``n_features``, the column count
+    of the data before the reduction.
     """
 
-    @property
-    def n_bits(self) -> int:
-        return self.space.topology_bits
+    n_bits = TOPOLOGY_BITS
+
+    def __init__(self, splits: DatasetSplits, n_features: int, cfg: EvalConfig,
+                 trace_path=None, workers: TrainingWorkers | None = None):
+        super().__init__(splits, cfg, trace_path, workers)
+        self.n_features = n_features
 
     def repair(self, bits: np.ndarray, rng) -> np.ndarray:
         return bits
 
     def decode(self, bits_str: str):
-        topology = decode_topology(genome_mod.string_to_bits(bits_str), self.space)
+        topology = decode_topology(genome_mod.string_to_bits(bits_str))
         return None, self.splits.d_train.n_features, topology
 
 

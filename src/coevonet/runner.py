@@ -33,7 +33,6 @@ import numpy as np
 
 from . import baselines, moea, neural
 from .decision import PreferenceSpec, preference_weights, select_architecture
-from .genome import SearchSpaceConfig
 from .market_data import DatasetSplits
 from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
 from .neural import ActivationKind, Topology
@@ -106,29 +105,29 @@ class SearchSettings:
         return dict(self.__dict__)
 
 
-def make_problem(splits: DatasetSplits, space: SearchSpaceConfig,
-                 settings: SearchSettings, run_seed: int,
+def make_problem(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
                  workers: TrainingWorkers | None = None):
     """The evaluation problem of one run, the one owner of what its genomes mean.
 
     Topology-only runs fit the a-priori reduction on the training split and
-    search topologies over the reduced splits; every other algorithm searches
-    the full co-evolution genome. ``workers``, when given, train its cycles.
+    search topologies over the reduced splits, charging complexity against the
+    column count of ``splits``; every other algorithm searches the full
+    co-evolution genome, one feature bit per column. ``workers``, when given,
+    train its cycles.
     """
     cfg = EvalConfig(cycles=settings.cycles, max_iter=settings.scg_max_iter, master_seed=run_seed)
     if settings.algorithm == "topology-only":
         reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
                                             settings.reduction_k)
-        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction), space, cfg,
-                                   workers=workers)
-    return CoevolutionProblem(splits, space, cfg, workers=workers)
+        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction),
+                                   splits.d_train.n_features, cfg, workers=workers)
+    return CoevolutionProblem(splits, cfg, workers=workers)
 
 
-def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
-                    settings: SearchSettings, run_seed: int,
+def run_single_seed(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
                     workers: TrainingWorkers | None = None):
     """One search run; returns (archive, generation stats, problem)."""
-    problem = make_problem(splits, space, settings, run_seed, workers)
+    problem = make_problem(splits, settings, run_seed, workers)
     engine = dict(population=settings.population,
                   max_evaluations=settings.max_evaluations, seed=run_seed)
     algo = settings.algorithm
@@ -144,8 +143,8 @@ def run_single_seed(splits: DatasetSplits, space: SearchSpaceConfig,
     return archive, stats, problem
 
 
-def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
-                        settings: SearchSettings, out_dir=None) -> tuple[ParetoArchive, dict]:
+def run_search_protocol(splits: DatasetSplits, settings: SearchSettings,
+                        out_dir=None) -> tuple[ParetoArchive, dict]:
     """Run seeds master_seed+1 .. master_seed+runs and merge the archives.
 
     With more than one cycle, the runs share one ``TrainingWorkers``, forked
@@ -162,7 +161,7 @@ def run_search_protocol(splits: DatasetSplits, space: SearchSpaceConfig,
         for run in range(1, settings.runs + 1):
             run_seed = settings.master_seed + run
             started = time.perf_counter()
-            archive, stats, problem = run_single_seed(splits, space, settings, run_seed, workers)
+            archive, stats, problem = run_single_seed(splits, settings, run_seed, workers)
             timing[f"seed-{run}"] = time.perf_counter() - started
             per_run.append(archive)
             logger.info("%s seed %d: archive %d, FE %d (+%d cached)",

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -45,14 +47,20 @@ def truncated(series, n_bars):
                        series.low[:n_bars], series.close[:n_bars], series.volume[:n_bars])
 
 
-def random_genome(space, rng):
-    """A uniform co-evolution genome, drawn and repaired as the engines draw one."""
-    return moea._random_genome(CoevolutionProblem(None, space, EvalConfig()), rng)
+@functools.cache
+def _problem_over(n_features):
+    return CoevolutionProblem(make_planted_splits(n_features), EvalConfig())
 
 
-def evaluate(genome, splits, cfg, space):
+def random_genome(n_features, rng):
+    """A uniform co-evolution genome over ``n_features`` data columns, drawn and
+    repaired as the engines draw one."""
+    return moea._random_genome(_problem_over(n_features), rng)
+
+
+def evaluate(genome, splits, cfg):
     """Objectives of one genome on a fresh problem (no cache reuse)."""
-    return CoevolutionProblem(splits, space, cfg).evaluate(genome).objectives
+    return CoevolutionProblem(splits, cfg).evaluate(genome).objectives
 
 
 def objective_matrix(archive):

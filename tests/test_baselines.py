@@ -7,7 +7,6 @@ from coevonet.baselines import (
     mrmr_select, mutual_information, pca_reduce, reduce_splits, rule_of_thumb,
     scalarized_search, symmetrical_uncertainty,
 )
-from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import Nsga2Config, nsga2_run
 from coevonet.objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
                                  TopologyOnlyProblem)
@@ -150,10 +149,9 @@ class TestSearchBaselines:
         return make_planted_splits(n_features=8, seed=14)
 
     def test_topology_only_archive(self, splits):
-        space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=40, seed=2)
         eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=2)
-        problem = TopologyOnlyProblem(splits, space, eval_cfg)
+        problem = TopologyOnlyProblem(splits, 8, eval_cfg)
         archive, _ = nsga2_run(problem, cfg)
         assert problem.n_bits == 16
         assert len(archive) >= 1
@@ -164,12 +162,11 @@ class TestSearchBaselines:
             assert obj.c >= feature_term - 1e-12
 
     def test_scalarized_deterministic(self, splits):
-        space = SearchSpaceConfig(n_features=8)
         cfg = Nsga2Config(population=10, max_evaluations=50, seed=3)
         eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=3)
-        a1, t1 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
+        a1, t1 = scalarized_search(CoevolutionProblem(splits, eval_cfg),
                                    ScalarizedConfig(), cfg)
-        a2, t2 = scalarized_search(CoevolutionProblem(splits, space, eval_cfg),
+        a2, t2 = scalarized_search(CoevolutionProblem(splits, eval_cfg),
                                    ScalarizedConfig(), cfg)
         assert len(a1) == 1
         assert a1.members() == a2.members()

@@ -154,12 +154,13 @@ def test_every_artifact_describes_the_scored_architecture(sessions, algo_runs, n
     run = algo_runs / name
     members = {row["genome"]: row for row in _jsonl(run / "merged" / "archive.jsonl")
                if row["record"] == "member"}
+    splits, _ = market_data.load_splits(sessions[0] / "data" / "splits")
     if name.startswith("topology-only"):
-        splits, _ = market_data.load_splits(sessions[0] / "data" / "splits")
         width = baselines.fit_reduction(name.rsplit("-", 1)[1], splits.d_train, 5).n_retained
     for row in members.values():
         arch = row["architecture"]
-        assert complexity_of(arch["n_inputs"], _topology(arch)) == row["c"]
+        assert complexity_of(arch["n_inputs"], _topology(arch),
+                             splits.d_train.n_features) == row["c"]
         if name.startswith("topology-only"):
             assert arch["feature_indices"] is None and arch["n_inputs"] == width
         else:

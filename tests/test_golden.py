@@ -24,7 +24,6 @@ import pytest
 
 from conftest import TINY_SEARCHES, MockProblem, make_planted_splits
 from coevonet.baselines import scalarized_search
-from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import EagdConfig, Nsga2Config, eagd_run, nsga2_run, random_search_run
 from coevonet.objectives import CoevolutionProblem, EvalConfig, ScalarizedConfig
 
@@ -66,8 +65,7 @@ def test_engine_matches_recorded_run(name):
 
 def test_scalarized_matches_recorded_run():
     splits = make_planted_splits(n_features=8, seed=14)
-    problem = CoevolutionProblem(splits, SearchSpaceConfig(n_features=8),
-                                 EvalConfig(cycles=2, max_iter=15, master_seed=3))
+    problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=15, master_seed=3))
     archive, trace = scalarized_search(problem, ScalarizedConfig(),
                                        Nsga2Config(population=6, max_evaluations=30, seed=3))
     expected = GOLDEN["scalarized"]

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import evaluate, make_planted_splits
 from coevonet import moea, neural
-from coevonet.genome import SearchSpaceConfig, encode, Architecture
+from coevonet.genome import encode, Architecture
 from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
@@ -21,7 +21,6 @@ from coevonet.objectives import (
 )
 
 TANH = ActivationKind.TANH
-SPACE = SearchSpaceConfig(n_features=8)  # matches the tiny planted splits
 FAST = 40  # SCG iterations
 
 
@@ -32,7 +31,7 @@ def splits():
 
 def genome_for(features, layers=()):
     arch = Architecture(tuple(features), Topology(tuple(layers)))
-    return encode(arch, SPACE)
+    return encode(arch, 8)      # the tiny planted splits' width
 
 
 class TestObjectiveVector:
@@ -50,13 +49,13 @@ class TestEvaluate:
     def test_deterministic_across_calls(self, splits):
         bits = genome_for([0, 1], [(3, TANH)])
         cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=5)
-        v1 = evaluate(bits, splits, cfg, SPACE)
-        v2 = evaluate(bits, splits, cfg, SPACE)
+        v1 = evaluate(bits, splits, cfg)
+        v2 = evaluate(bits, splits, cfg)
         assert v1 == v2
 
     def test_components_within_bounds(self, splits):
         cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=5)
-        problem = CoevolutionProblem(splits, SPACE, cfg)
+        problem = CoevolutionProblem(splits, cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
             rec = problem.evaluate(moea._random_genome(problem, rng))
@@ -66,7 +65,7 @@ class TestEvaluate:
     def test_cycle_mean_property(self, splits):
         bits = genome_for([0, 2], [(4, TANH)])
         cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(bits)
+        rec = CoevolutionProblem(splits, cfg).evaluate(bits)
         # independently seeded single-cycle trainings reproduce the mean
         singles = []
         for k in (1, 2, 3):
@@ -82,19 +81,19 @@ class TestEvaluate:
     def test_mother_complexity_is_one(self, splits):
         bits = genome_for(range(8), [(127, TANH), (127, TANH)])
         cfg = EvalConfig(cycles=1, max_iter=5, master_seed=1)
-        assert evaluate(bits, splits, cfg, SPACE).c == 1.0
+        assert evaluate(bits, splits, cfg).c == 1.0
 
     def test_direct_network_learns_separable_problem(self, splits):
         # the planted label is sign(feature 0): no hidden layer needed
         bits = genome_for([0])
         cfg = EvalConfig(cycles=1, max_iter=100, master_seed=3)
-        vec = evaluate(bits, splits, cfg, SPACE)
+        vec = evaluate(bits, splits, cfg)
         assert vec.e_cv < 0.5
         assert vec.e_pr < 0.5
 
     def test_cache_and_fe_accounting(self, splits):
         cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=2)
-        problem = CoevolutionProblem(splits, SPACE, cfg)
+        problem = CoevolutionProblem(splits, cfg)
         bits = genome_for([1, 3], [(2, TANH)])
         problem.evaluate(bits)
         assert (problem.fe_count, problem.cache_hits) == (1, 0)
@@ -107,7 +106,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
         cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=2)
-        rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(genome_for([0]))
+        rec = CoevolutionProblem(splits, cfg).evaluate(genome_for([0]))
         assert rec.objectives.e_cv == 1.0
         assert rec.objectives.e_pr == 1.0
         assert rec.test_mcc == -1.0
@@ -116,12 +115,12 @@ class TestEvaluate:
         # evaluation touches pr/train/test only; a sealed hold split is fine
         cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
         assert splits.d_hold.sealed
-        evaluate(genome_for([0]), splits, cfg, SPACE)
+        evaluate(genome_for([0]), splits, cfg)
 
     def test_trace_log_written(self, splits, tmp_path):
         trace = tmp_path / "trace.jsonl"
         cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
-        problem = CoevolutionProblem(splits, SPACE, cfg, trace_path=trace)
+        problem = CoevolutionProblem(splits, cfg, trace_path=trace)
         problem.evaluate(genome_for([0, 1]))
         import json
         entry = json.loads(trace.read_text().splitlines()[0])
@@ -136,7 +135,7 @@ class TestConcurrentCycles:
         columns, topology = [0, 2, 5], Topology(((4, TANH), (3, ActivationKind.SIGMOID)))
         bits = genome_for(columns, topology.layers)
         cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        rec = CoevolutionProblem(splits, SPACE, cfg).evaluate(bits)
+        rec = CoevolutionProblem(splits, cfg).evaluate(bits)
         rows = []
         for k in (1, 2, 3):
             model = neural.scg_train(topology, splits.d_train.features[:, columns],
@@ -168,7 +167,7 @@ class TestConcurrentCycles:
 
     def test_one_training_per_cycle_and_none_for_cache_hits(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=3, max_iter=FAST))
+        problem = CoevolutionProblem(splits, EvalConfig(cycles=3, max_iter=FAST))
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         for bits in genomes + genomes:
             problem.evaluate(bits)
@@ -177,13 +176,13 @@ class TestConcurrentCycles:
 
     def test_single_cycle_trains_on_the_calling_thread(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        CoevolutionProblem(splits, SPACE, EvalConfig(cycles=1, max_iter=FAST)).evaluate(
+        CoevolutionProblem(splits, EvalConfig(cycles=1, max_iter=FAST)).evaluate(
             genome_for([0, 1], [(3, TANH)]))
         assert threads == [threading.get_ident()]
 
     def test_start_without_workers_trains_when_evaluate_collects(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST))
+        problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST))
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         problem.start(genomes)
         assert threads == []
@@ -192,7 +191,7 @@ class TestConcurrentCycles:
 
     def test_queued_genomes_hold_no_copy_of_the_training_matrix(self):
         splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
-        problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST))
+        problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST))
         rng = np.random.default_rng(0)
         genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
         tracemalloc.start()
@@ -236,9 +235,9 @@ class TestTrainingWorkers:
 
     def test_started_batch_records_equal_inline_records(self, splits):
         cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        inline = CoevolutionProblem(splits, SPACE, cfg)
+        inline = CoevolutionProblem(splits, cfg)
         with TrainingWorkers() as workers:
-            pooled = CoevolutionProblem(splits, SPACE, cfg, workers=workers)
+            pooled = CoevolutionProblem(splits, cfg, workers=workers)
             pooled.start(self.GENOMES)
             records = [pooled.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
         assert records == [inline.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
@@ -254,7 +253,7 @@ class TestTrainingWorkers:
 
         monkeypatch.setattr(neural, "scg_train", counted)
         with TrainingWorkers() as workers:
-            problem = CoevolutionProblem(splits, SPACE, EvalConfig(cycles=2, max_iter=FAST),
+            problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST),
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
             moea._evaluate_batch(problem, self.GENOMES, cap=10)
@@ -270,7 +269,7 @@ class TestTrainingWorkers:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
             with TrainingWorkers() if in_workers else contextlib.nullcontext() as workers:
-                problem = CoevolutionProblem(huge, SPACE, cfg, workers=workers)
+                problem = CoevolutionProblem(huge, cfg, workers=workers)
                 with pytest.raises(RuntimeWarning, match="overflow encountered"):
                     problem.evaluate(genome_for([0, 1]))
         assert (problem.fe_count, problem.cache) == (0, {})
@@ -279,7 +278,7 @@ class TestTrainingWorkers:
 class TestTopologyOnly:
     def test_sixteen_bit_genomes(self, splits):
         cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
-        problem = TopologyOnlyProblem(splits, SPACE, cfg)
+        problem = TopologyOnlyProblem(splits, 8, cfg)
         assert problem.n_bits == 16
         rec = problem.evaluate("0010010" + "1" + "0000000" + "0")
         # feature term frozen at d/n_f

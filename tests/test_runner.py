@@ -5,11 +5,8 @@ import pytest
 
 from conftest import is_dominance_fixed_point, make_planted_splits
 from coevonet import baselines, runner
-from coevonet.genome import SearchSpaceConfig
 from coevonet.moea import merge_archives
 from coevonet.objectives import SCORE_NAMES
-
-SPACE = SearchSpaceConfig(n_features=8)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +22,7 @@ def _settings(algorithm, **overrides):
 
 def test_archive_jsonl_round_trip(splits, tmp_path):
     for algorithm in ("nsga2", "topology-only"):
-        archive, _, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
+        archive, _, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
         path = tmp_path / algorithm / "archive.jsonl"
         runner.write_archive_jsonl(archive, path, {"config_hash": "abc"}, problem)
         loaded, meta, architectures = runner.read_archive_jsonl(path)
@@ -36,7 +33,7 @@ def test_archive_jsonl_round_trip(splits, tmp_path):
 
 @pytest.mark.parametrize("algorithm", runner.ALGORITHMS)
 def test_every_algorithm_runs_within_budget(splits, algorithm):
-    archive, stats, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
+    archive, stats, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
     assert len(archive) >= 1
     assert is_dominance_fixed_point(archive)
     assert problem.fe_count <= 10
@@ -47,7 +44,7 @@ def test_every_algorithm_runs_within_budget(splits, algorithm):
 @pytest.mark.parametrize("reduction", baselines.REDUCTIONS)
 def test_topology_only_uses_the_named_reduction(splits, reduction):
     _, _, problem = runner.run_single_seed(
-        splits, SPACE, _settings("topology-only", reduction=reduction), 3)
+        splits, _settings("topology-only", reduction=reduction), 3)
     expected = baselines.fit_reduction(reduction, splits.d_train, 3).n_retained
     assert problem.splits.d_train.n_features == expected
 
@@ -65,7 +62,7 @@ def test_settings_reject_empty_searches(overrides):
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "topology-only"])
 def test_holdout_decodes_through_the_run_problem(splits, algorithm):
-    archive, _, problem = runner.run_single_seed(splits, SPACE, _settings(algorithm), 3)
+    archive, _, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
     bits = archive.members()[0][0]
     result = runner.holdout_evaluate_genome(bits, problem, 10, seed=1, cycles=2)
     assert result["genome"] == bits and result["cycles"] == 2
@@ -73,7 +70,7 @@ def test_holdout_decodes_through_the_run_problem(splits, algorithm):
 
 
 def test_holdout_reports_every_cycle_and_the_spread(splits):
-    archive, _, problem = runner.run_single_seed(splits, SPACE, _settings("nsga2"), 3)
+    archive, _, problem = runner.run_single_seed(splits, _settings("nsga2"), 3)
     bits = archive.members()[0][0]
     result = runner.holdout_evaluate_genome(bits, problem, 10, seed=4, cycles=3)
     for k in range(3):
@@ -88,7 +85,7 @@ def test_holdout_reports_every_cycle_and_the_spread(splits):
 
 def test_protocol_merges_runs_and_writes_artifacts(splits, tmp_path):
     settings = _settings("nsga2", runs=2)
-    merged, meta = runner.run_search_protocol(splits, SPACE, settings, tmp_path)
+    merged, meta = runner.run_search_protocol(splits, settings, tmp_path)
     assert meta["config_hash"] == runner.config_hash(settings.to_dict())
     assert runner.SearchSettings(**meta["settings"]) == settings
     per_run = [runner.read_archive_jsonl(tmp_path / "nsga2" / f"seed-{k}" / "archive.jsonl")[0]
