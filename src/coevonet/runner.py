@@ -100,6 +100,8 @@ class SearchSettings:
             raise ValueError(f"max_evaluations {self.max_evaluations} must be >= 1")
         if self.runs < 1:
             raise ValueError(f"runs {self.runs} must be >= 1")
+        if self.scg_max_iter < 0:       # refused before a search forks its workers
+            raise ValueError(f"SCG max_iter {self.scg_max_iter} must be non-negative")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

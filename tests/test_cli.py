@@ -206,8 +206,22 @@ def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):
     assert "population must be >= 2" in capsys.readouterr().err
 
 
+def _count_forks(monkeypatch) -> list[int]:
+    """The pid of every ``os.fork`` call from now on, in call order."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 @pytest.mark.parametrize("step", ["search", "baseline", "holdout-eval"])
-def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, step):
+def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, monkeypatch, step):
+    forks = _count_forks(monkeypatch)
     data, run = str(sessions[0] / "data"), str(sessions[0] / "run")
     argv = {"search": ["search", "--data", data, "--fe", "4", "--population", "4",
                        "--cycles", "2", "--runs", "1", "--out", str(tmp_path)],
@@ -215,6 +229,7 @@ def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, step):
             "holdout-eval": ["holdout-eval", "--data", data, "--run", run, "--preset", "O2"]}
     assert cli.main([*argv[step], "--scg-iters", "-1"]) == 1
     assert "max_iter -1 must be non-negative" in capsys.readouterr().err
+    assert forks == []      # refused before a multi-cycle search forks its workers
 
 
 def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path, capsys):
@@ -319,14 +334,7 @@ def test_config_value_the_option_refuses_is_a_validation_error(tmp_path, capsys,
 
 
 def test_only_a_multi_cycle_search_forks_training_workers(sessions, tmp_path, monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = _count_forks(monkeypatch)
     data, run = str(sessions[0] / "data"), tmp_path / "run"
     shutil.copytree(sessions[0] / "run", run)
     search = ["search", "--data", data, "--algo", "nsga2", "--fe", "4", "--population", "2",
