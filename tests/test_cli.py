@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TINY_SEARCHES, random_walk_series
+from conftest import TINY_SEARCHES, make_planted_splits, random_walk_series
 from coevonet import baselines, cli, market_data, synth
 from coevonet.genome import complexity_of
 from coevonet.neural import Topology
@@ -190,6 +190,38 @@ def test_archive_without_architecture_asks_for_a_new_search(algo_runs, tmp_path,
         assert cli.main(argv) == 1, argv[0]
         assert "rerun `coevonet search`" in capsys.readouterr().err
     assert not (run / "selected" / "O1.json").exists()
+
+
+@pytest.fixture
+def eight_column_data(tmp_path) -> str:
+    """A data directory whose splits hold 8 feature columns, not the catalog's 68."""
+    data = tmp_path / "data8"
+    market_data.save_splits(make_planted_splits(n_features=8, seed=3), data / "splits")
+    return str(data)
+
+
+def test_search_prefix_is_as_wide_as_the_data(eight_column_data, tmp_path):
+    run = tmp_path / "run"
+    assert cli.main(["search", "--data", eight_column_data, "--fe", "12", "--population", "4",
+                     "--cycles", "1", "--scg-iters", "10", "--runs", "2",
+                     "--out", str(run)]) == 0
+    members = [row for row in _jsonl(run / "merged" / "archive.jsonl")
+               if row["record"] == "member"]
+    assert members
+    for row in members:
+        assert len(row["genome"]) == 8 + 16
+        assert all(0 <= i < 8 for i in row["architecture"]["feature_indices"])
+
+
+def test_holdout_eval_of_a_run_on_other_data_names_the_genome_length(
+        sessions, eight_column_data, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(sessions[0] / "run", run)      # searched on the 68 catalog columns
+    record = (run / "holdout" / "O2.json").read_bytes()
+    assert cli.main(["holdout-eval", "--data", eight_column_data, "--run", str(run),
+                     "--preset", "O2", "--scg-iters", "5"]) == 1
+    assert "genome length 84 differs from the expected 24" in capsys.readouterr().err
+    assert (run / "holdout" / "O2.json").read_bytes() == record
 
 
 def test_holdout_eval_cycles_0_exits_1(sessions, capsys):
