@@ -58,7 +58,6 @@ class FriedmanResult:
     mean_ranks: np.ndarray
     statistic: float
     p_value: float
-    rank_matrix: np.ndarray
 
 
 def friedman_ranks(table, higher_is_better: bool = True) -> FriedmanResult:
@@ -79,15 +78,13 @@ def friedman_ranks(table, higher_is_better: bool = True) -> FriedmanResult:
     mean_ranks = ranks.mean(axis=0)
     statistic = 12.0 * n / (k * (k + 1)) * float(((mean_ranks - (k + 1) / 2.0) ** 2).sum())
     p_value = chi2_sf(statistic, k - 1)
-    return FriedmanResult(mean_ranks=mean_ranks, statistic=statistic,
-                          p_value=p_value, rank_matrix=ranks)
+    return FriedmanResult(mean_ranks=mean_ranks, statistic=statistic, p_value=p_value)
 
 
 @dataclass(frozen=True)
 class HommelResult:
     adjusted: np.ndarray
     reject: np.ndarray
-    alpha: float
 
 
 def hommel_apv(p_values, alpha: float = 0.05) -> HommelResult:
@@ -106,7 +103,7 @@ def hommel_apv(p_values, alpha: float = 0.05) -> HommelResult:
     ps = p[order]
     if n == 1:
         adjusted = p.copy()
-        return HommelResult(adjusted, adjusted <= alpha, alpha)
+        return HommelResult(adjusted, adjusted <= alpha)
     idx = np.arange(1, n + 1)
     q = np.full(n, (n * ps / idx).min())
     pa = q.copy()
@@ -120,4 +117,4 @@ def hommel_apv(p_values, alpha: float = 0.05) -> HommelResult:
     adjusted_sorted = np.maximum(pa, ps)
     adjusted = np.empty(n)
     adjusted[order] = np.minimum(adjusted_sorted, 1.0)
-    return HommelResult(adjusted=adjusted, reject=adjusted <= alpha, alpha=alpha)
+    return HommelResult(adjusted=adjusted, reject=adjusted <= alpha)
