@@ -119,7 +119,9 @@ class ReductionResult:
 
     @property
     def n_retained(self) -> int:
-        return len(self.feature_indices) if self.feature_indices is not None else self.pca.n_components
+        if self.feature_indices is not None:
+            return len(self.feature_indices)
+        return self.pca.n_components
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.pca is not None:

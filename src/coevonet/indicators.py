@@ -151,7 +151,7 @@ def _prev_close(close: np.ndarray) -> np.ndarray:
 
 
 def _ratio(num, den, fallback, defined=None) -> np.ndarray:
-    """num / den where ``defined`` (default den > 0) holds, else fallback; NaN where either is NaN."""
+    """num / den where ``defined`` (default den > 0) holds, else fallback; NaN in, NaN out."""
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(den > 0 if defined is None else defined, num / den, fallback)
     out[np.isnan(num) | np.isnan(den)] = np.nan

@@ -209,7 +209,8 @@ class SplitSpec:
         order = [self.pr_range, self.train_range, self.test_range, self.hold_range]
         for (a_lo, a_hi), (b_lo, b_hi) in zip(order, order[1:]):
             if a_hi > b_lo:
-                raise MarketDataError("split ranges must be disjoint and ordered pr < train < test < hold")
+                raise MarketDataError(
+                    "split ranges must be disjoint and ordered pr < train < test < hold")
 
     @classmethod
     def from_boundaries(cls, b0, b1, b2, b3, b4) -> "SplitSpec":

@@ -83,7 +83,8 @@ def _layer_sizes(topology: Topology, n_inputs: int) -> list[int]:
     return [n_inputs] + [s for s, _ in topology.active_layers] + [N_CLASSES]
 
 
-def init_weights(topology: Topology, n_inputs: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def init_weights(topology: Topology, n_inputs: int,
+                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W, b): W uniform in +-sqrt(6/(fan_in+fan_out)), b zero."""
     rng = np.random.default_rng(seed)
     sizes = _layer_sizes(topology, n_inputs)

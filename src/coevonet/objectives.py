@@ -142,8 +142,9 @@ class TrainingWorkers:
     and the caller's warning filters. Its threads call ``neural.scg_train``
     with ``processes``, so the process that owns them still makes every
     ``scg_train`` call. ``close`` (or leaving the ``with`` block) cancels
-    what has not started and joins every process and thread. On Linux a worker also ends when the thread that
-    created this object does, so create it on the thread that uses it.
+    what has not started and joins every process and thread. On Linux a
+    worker also ends when the thread that created this object does, so
+    create it on the thread that uses it.
     """
 
     def __init__(self):

@@ -181,7 +181,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[OhlcvSeries, SplitSpec, 
     ]
     split = SplitSpec.from_boundaries(*boundaries)
     truth = SynthTruth(
-        relevant_indices=tuple(indicators.catalog_index(catalog, lbl) for lbl, _, _, _ in spec.planted),
+        relevant_indices=tuple(indicators.catalog_index(catalog, lbl)
+                               for lbl, _, _, _ in spec.planted),
         relevant_labels=tuple(lbl for lbl, _, _, _ in spec.planted),
         weights=tuple(w for _, _, _, w in spec.planted),
         noise=spec.noise,

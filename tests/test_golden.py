@@ -30,8 +30,10 @@ from coevonet.objectives import CoevolutionProblem, EvalConfig, ScalarizedConfig
 GOLDEN = json.loads((Path(__file__).with_name("golden_engines.json")).read_text())
 
 RUNS = {
-    "nsga2/3": lambda: nsga2_run(MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=3)),
-    "nsga2/11": lambda: nsga2_run(MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=11)),
+    "nsga2/3": lambda: nsga2_run(
+        MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=3)),
+    "nsga2/11": lambda: nsga2_run(
+        MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=11)),
     "nsga2/small-budget": lambda: nsga2_run(
         MockProblem(), Nsga2Config(population=8, max_evaluations=5, seed=2)),
     "eagd/3": lambda: eagd_run(MockProblem(), EagdConfig(

@@ -107,7 +107,8 @@ class TestConstantAndMonotone:
         assert compute_column(s, IndicatorId("rsi", (5,)))[len(closes) - 1] == 0.0
 
     def test_oscp_rejects_a_window_of_zero_closes(self):
-        s = series_from_closes(np.concatenate([np.full(20, 100.0), np.zeros(5), np.full(20, 100.0)]))
+        s = series_from_closes(
+            np.concatenate([np.full(20, 100.0), np.zeros(5), np.full(20, 100.0)]))
         with pytest.raises(IndicatorError, match="oscp_5_10"):
             compute_column(s, IndicatorId("oscp", (5, 10)))
 
