@@ -26,14 +26,13 @@ from .decision import PreferenceSpec, mtd_select, preference_weights
 from .genome import Architecture, decode, encode
 from .market_data import (DatasetSplits, OhlcvSeries, PatternSet, SplitSpec,
                           build_patterns, load_ohlcv_csv, split_by_dates)
-from .moea import EagdConfig, Nsga2Config, ParetoArchive, eagd_run, hypervolume, nsga2_run
+from .moea import ParetoArchive, eagd_run, hypervolume, nsga2_run
 from .neural import ActivationKind, Topology, predict, scg_train
-from .objectives import EvalConfig, ObjectiveVector
+from .objectives import ObjectiveVector
 
 __all__ = [
-    "ActivationKind", "Architecture", "DatasetSplits", "EagdConfig", "EvalConfig",
-    "Nsga2Config", "ObjectiveVector", "OhlcvSeries", "ParetoArchive", "PatternSet",
-    "PreferenceSpec", "SplitSpec", "Topology", "build_patterns",
+    "ActivationKind", "Architecture", "DatasetSplits", "ObjectiveVector", "OhlcvSeries",
+    "ParetoArchive", "PatternSet", "PreferenceSpec", "SplitSpec", "Topology", "build_patterns",
     "decode", "eagd_run", "encode", "hypervolume", "load_ohlcv_csv", "mtd_select",
     "nsga2_run", "predict", "preference_weights", "scg_train", "split_by_dates",
 ]

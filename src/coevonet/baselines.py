@@ -23,8 +23,7 @@ import numpy as np
 
 from . import moea
 from .market_data import DatasetSplits, PatternSet
-from .moea import Nsga2Config
-from .objectives import CoevolutionProblem, ScalarizedConfig, scalarized_value
+from .objectives import CoevolutionProblem, scalarized_value
 
 logger = logging.getLogger(__name__)
 
@@ -297,21 +296,23 @@ class ScalarizedTracePoint:
         return [self.generation, self.evaluations, repr(float(self.best_value))]
 
 
-def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
-                      ga_cfg: Nsga2Config) -> tuple[moea.ParetoArchive, list[ScalarizedTracePoint]]:
+def scalarized_search(problem: CoevolutionProblem, weights: tuple[float, float],
+                      population: int, max_evaluations: int,
+                      seed: int) -> tuple[moea.ParetoArchive, list[ScalarizedTracePoint]]:
     """Single-objective elitist GA over the co-evolution genome.
 
     Uses the same offspring pipeline and budget check as the multi-objective
-    engine, with binary tournament selection on the scalarized value. The
-    archive holds the best genome; the trace its value per generation.
+    engine, with binary tournament selection on the scalarized value under
+    ``weights`` (theta_e, theta_c). The archive holds the best genome; the
+    trace its value per generation.
     """
-    rng = np.random.default_rng(ga_cfg.seed)
-    cap = ga_cfg.max_evaluations
+    rng = np.random.default_rng(seed)
+    cap = max_evaluations
 
     evaluated, exhausted = moea._evaluate_batch(
-        problem, [moea._random_genome(problem, rng) for _ in range(ga_cfg.population)], cap)
+        problem, [moea._random_genome(problem, rng) for _ in range(population)], cap)
     pop = [bits_str for bits_str, _ in evaluated]
-    values = {b: scalarized_value(record, scalar_cfg) for b, record in evaluated}
+    values = {b: scalarized_value(record, *weights) for b, record in evaluated}
 
     def pick_parent():
         a, b = rng.choice(len(pop), size=2)
@@ -323,14 +324,14 @@ def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
     gen = 0
     while not exhausted and problem.fe_count < cap:
         gen += 1
-        offspring = moea._make_offspring(pick_parent, problem, ga_cfg, rng)
+        offspring = moea._make_offspring(pick_parent, problem, population, rng)
         evaluated, exhausted = moea._evaluate_batch(problem, offspring, cap)
         for bits_str, record in evaluated:
             if bits_str not in values:
-                values[bits_str] = scalarized_value(record, scalar_cfg)
+                values[bits_str] = scalarized_value(record, *weights)
                 pop.append(bits_str)
         # elitist truncation back to the population size
-        pop = sorted(set(pop), key=lambda b: (values[b], b))[:ga_cfg.population]
+        pop = sorted(set(pop), key=lambda b: (values[b], b))[:population]
         best_bits = pop[0]
         trace.append(ScalarizedTracePoint(gen, problem.fe_count, values[best_bits]))
     logger.info("scalarized GA: %d generations, %d evaluations, best %.4f",
@@ -340,9 +341,9 @@ def scalarized_search(problem: CoevolutionProblem, scalar_cfg: ScalarizedConfig,
     return archive, trace
 
 
-#: The three preference scenarios used with the scalarized baseline.
+#: The three preference scenarios of the scalarized baseline: (theta_e, theta_c).
 SCALARIZED_SCENARIOS = {
-    "efficacy": ScalarizedConfig(theta_e=0.75, theta_c=0.25),
-    "balanced": ScalarizedConfig(theta_e=0.50, theta_c=0.50),
-    "complexity": ScalarizedConfig(theta_e=0.25, theta_c=0.75),
+    "efficacy": (0.75, 0.25),
+    "balanced": (0.50, 0.50),
+    "complexity": (0.25, 0.75),
 }

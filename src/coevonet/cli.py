@@ -10,13 +10,14 @@ A typical desk-scale session on synthetic data:
 
 ``holdout-eval`` retrains the selection of a run of any ``--algo``: it
 rebuilds the run's evaluation problem from the settings in the merged
-archive's header, so a topology-only genome is retrained on the same reduced
-inputs it was searched on. It writes each score's per-cycle values (cycle k
-seeded ``--seed`` + k), their mean and their standard deviation. ``select``
-and ``export`` copy the architecture record that ``search`` wrote into every
-archive row, so ``export`` fills ``n_features`` (the network's input count)
-and ``layers`` for every ``--algo``; an archive written before rows carried
-that record must be searched again.
+archive's header (a header without them is refused), so a topology-only
+genome is retrained on the same reduced inputs it was searched on. It writes
+each score's per-cycle values (cycle k seeded ``--seed`` + k), their mean and
+their standard deviation. ``select`` and ``export`` copy the architecture
+record that ``search`` wrote into every archive row, so ``export`` fills
+``n_features`` (the network's input count) and ``layers`` for every
+``--algo``; an archive written before rows carried that record must be
+searched again.
 
 Exit codes: 0 ok, 1 validation error, 2 runtime failure. Deterministic
 artifacts embed the config hash and master seed; rerunning a subcommand with
@@ -26,9 +27,11 @@ BLAS on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 of matrix products); a ``search`` with ``--cycles`` above 1 uses the cores
 instead. It forks one training worker per usable core when it starts, trains
 a whole batch of candidates' cycles on them and joins them before it exits;
-the artifacts do not depend on how many there are. A one-cycle ``search``,
-``holdout-eval`` and ``baseline`` train in their own process. An error in a
-worker fails the step as it would inline (exit 2).
+the artifacts do not depend on how many there are. ``search`` checks its
+settings before any worker forks: an odd ``--population`` for ``nsga2``,
+``--cycles 0`` or a config file's unknown ``scenario`` exits 1 at once. A
+one-cycle ``search``, ``holdout-eval`` and ``baseline`` train in their own
+process. An error in a worker fails the step as it would inline (exit 2).
 
 ``ingest`` prints each split's up days (label 1) and their share, and warns
 when a split holds one class only. ``ingest`` and ``search`` read
@@ -229,7 +232,11 @@ def cmd_holdout_eval(args) -> int:
     if not sel_path.exists():
         raise MarketDataError(f"no selection at {sel_path}; run `coevonet select` first")
     record = json.loads(sel_path.read_text())
-    settings = runner.SearchSettings(**_merged_archive(args.run)[1].get("settings", {}))
+    meta = _merged_archive(args.run)[1]
+    if "settings" not in meta:
+        raise MarketDataError(f"the merged archive under {args.run} records no search settings; "
+                              "rerun `coevonet search`")
+    settings = runner.SearchSettings(**meta["settings"])
     problem = runner.make_problem(splits, settings, settings.master_seed)
     result = runner.holdout_evaluate_genome(
         record["genome"], problem, args.scg_iters, seed=args.seed, cycles=args.cycles)

@@ -8,11 +8,13 @@ Two engines share the evaluation problems defined in ``objectives``:
 * ``eagd_run``: a decomposition engine with Tchebycheff aggregation over a
   simplex-lattice weight set, mating within neighborhoods of
   ``NEIGHBORHOOD_FRACTION`` of the population, and an external dominance
-  archive that both collects results and periodically supplies parents.
+  archive that both collects results and, every ``LEARNING_GENERATIONS``
+  generations, supplies one parent of each child.
 
-Both stop on a function-evaluation budget (cache hits are free) and are
-bit-reproducible for a fixed seed. ``random_search_run`` evaluates the same
-budget of uniform genomes and is the reference front for efficacy checks.
+Both take the population, the function-evaluation budget (cache hits are
+free) and the seed as plain arguments, and are bit-reproducible for a fixed
+seed. ``random_search_run`` evaluates the same budget of uniform genomes and
+is the reference front for efficacy checks.
 
 The engines, and the scalarized GA in ``baselines``, share one skeleton:
 ``_random_genome`` draws initial genomes, ``_make_offspring`` builds children
@@ -197,31 +199,8 @@ NONGEOMETRIC_PROB = 0.8
 #: EAGD's crossover probability, and its neighborhood's share of the population.
 EAGD_CROSSOVER_RATE = 1.0
 NEIGHBORHOOD_FRACTION = 0.10
-
-
-@dataclass
-class Nsga2Config:
-    population: int = 50
-    max_evaluations: int = 15000
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.population < 2 or self.population % 2:
-            raise ValueError("population must be even and >= 2")
-
-
-@dataclass
-class EagdConfig:
-    population: int = 50
-    learning_generations: int = 8
-    max_evaluations: int = 15000
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.learning_generations < 0:
-            raise ValueError("learning_generations must be >= 0")
+#: EAGD draws one parent of each child from its archive every this many generations.
+LEARNING_GENERATIONS = 8
 
 
 @dataclass
@@ -302,9 +281,9 @@ def _random_genome(problem, rng: np.random.Generator) -> str:
                                          rng))
 
 
-def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
+def _make_offspring(pick_parent, problem, population: int,
                     rng: np.random.Generator) -> list[str]:
-    """``cfg.population`` repaired children of tournament-picked parent pairs.
+    """``population`` repaired children of tournament-picked parent pairs.
 
     With probability ``CROSSOVER_RATE`` a pair recombines, by two
     non-geometric children (probability ``NONGEOMETRIC_PROB``) or one uniform
@@ -313,7 +292,7 @@ def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
     """
     rate = 1.0 / problem.n_bits
     offspring = []
-    while len(offspring) < cfg.population:
+    while len(offspring) < population:
         pa, pb = string_to_bits(pick_parent()), string_to_bits(pick_parent())
         if rng.random() < CROSSOVER_RATE:
             if rng.random() < NONGEOMETRIC_PROB:
@@ -326,14 +305,15 @@ def _make_offspring(pick_parent, problem, cfg: Nsga2Config,
         for kid in kids:
             offspring.append(bits_to_string(
                 problem.repair(bitflip_mutation(kid, rate, rng), rng)))
-    return offspring[:cfg.population]
+    return offspring[:population]
 
 
-def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[GenerationStats]]:
-    rng = np.random.default_rng(cfg.seed)
-    cap = cfg.max_evaluations
+def nsga2_run(problem, population: int, max_evaluations: int,
+              seed: int) -> tuple[ParetoArchive, list[GenerationStats]]:
+    rng = np.random.default_rng(seed)
+    cap = max_evaluations
     evaluated, exhausted = _evaluate_batch(
-        problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
+        problem, [_random_genome(problem, rng) for _ in range(population)], cap)
     pop_bits = [b for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
     # each population is sorted once: for its statistics, the next
@@ -351,11 +331,11 @@ def nsga2_run(problem, cfg: Nsga2Config) -> tuple[ParetoArchive, list[Generation
             winner = crowding_tournament(ranks[i], crowds[i], ranks[j], crowds[j], rng)
             return pop_bits[i if winner == 0 else j]
 
-        offspring = _make_offspring(pick_parent, problem, cfg, rng)
+        offspring = _make_offspring(pick_parent, problem, population, rng)
         evaluated, exhausted = _evaluate_batch(problem, offspring, cap)
         pool_bits = pop_bits + [b for b, _ in evaluated]
         pool_objs = pop_objs + [rec.objectives for _, rec in evaluated]
-        pop_bits, pop_objs = _environmental_selection(pool_bits, pool_objs, cfg.population)
+        pop_bits, pop_objs = _environmental_selection(pool_bits, pool_objs, population)
         rows = _objective_rows(pop_objs)
         fronts = fast_nondominated_sort(rows)
         stats.append(_snapshot(gen, problem, rows, fronts))
@@ -421,21 +401,22 @@ def _tchebycheff(f: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> float
     return float(np.max(weights * np.abs(f - ideal)))
 
 
-def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationStats]]:
-    rng = np.random.default_rng(cfg.seed)
+def eagd_run(problem, population: int, max_evaluations: int,
+             seed: int) -> tuple[ParetoArchive, list[GenerationStats]]:
+    rng = np.random.default_rng(seed)
     mutation_rate = 1.0 / problem.n_bits
-    cap = cfg.max_evaluations
-    weights = simplex_lattice_weights(3, cfg.population)
+    cap = max_evaluations
+    weights = simplex_lattice_weights(3, population)
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
-    hood_size = max(2, math.ceil(NEIGHBORHOOD_FRACTION * cfg.population))
+    hood_size = max(2, math.ceil(NEIGHBORHOOD_FRACTION * population))
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :hood_size]
     weights = np.maximum(weights, 1e-6)     # Tchebycheff weights; neighborhoods use the lattice
 
     evaluated, exhausted = _evaluate_batch(
-        problem, [_random_genome(problem, rng) for _ in range(cfg.population)], cap)
+        problem, [_random_genome(problem, rng) for _ in range(population)], cap)
     pop_bits = [b for b, _ in evaluated]
     pop_objs = [rec.objectives for _, rec in evaluated]
-    while len(pop_bits) < cfg.population:  # budget smaller than the population
+    while len(pop_bits) < population:  # budget smaller than the population
         pop_bits.append(pop_bits[-1])
         pop_objs.append(pop_objs[-1])
     archive = ParetoArchive()
@@ -447,9 +428,9 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
     gen = 0
     while not exhausted and problem.fe_count < cap:
         gen += 1
-        guided = cfg.learning_generations > 0 and gen % cfg.learning_generations == 0
+        guided = gen % LEARNING_GENERATIONS == 0
         archive_members = archive.members() if guided else None
-        for i in rng.permutation(cfg.population):
+        for i in rng.permutation(population):
             hood = neighbors[i]
             if guided and archive_members:
                 pa = archive_members[int(rng.integers(len(archive_members)))][0]
@@ -483,12 +464,14 @@ def eagd_run(problem, cfg: EagdConfig) -> tuple[ParetoArchive, list[GenerationSt
 
 
 def random_search_run(problem, budget: int, seed: int) -> ParetoArchive:
-    """Uniform random genomes under the same evaluation budget."""
+    """Uniform random genomes under the same evaluation budget, drawn in batches
+    of the evaluations the budget has left (a repeat is a free cache hit)."""
     rng = np.random.default_rng(seed)
     archive = ParetoArchive()
     while problem.fe_count < budget:
-        bits = _random_genome(problem, rng)
-        archive.add(bits, problem.evaluate(bits).objectives)
+        batch = [_random_genome(problem, rng) for _ in range(budget - problem.fe_count)]
+        for bits, rec in _evaluate_batch(problem, batch, budget)[0]:
+            archive.add(bits, rec.objectives)
     return archive
 
 

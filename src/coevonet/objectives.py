@@ -17,12 +17,13 @@ minimization, and scores the model in this process, and collecting waits
 for it. Without workers a queued cycle is a pending call, which collecting
 makes on the calling thread. Each cycle's seed depends only on (master
 seed, bits, k), so a record does not depend on the workers or the core
-count, and the cache, the FE count and the trace log behave the same.
+count, and the cache and the FE count behave the same.
 
 The scalarized single-objective variant combines overall test error and
-complexity under preference weights plus a 5x epsilon-constraint penalty on
-test/pre-regime correlation (MCC) and pre-regime error, at the thresholds
-``EPS_TEST_MCC``, ``EPS_PR_MCC`` and ``EPS_PR_ERROR``.
+complexity under the preference weights ``theta_e`` and ``theta_c``, plus a
+5x epsilon-constraint penalty on test/pre-regime correlation (MCC) and
+pre-regime error, at the thresholds ``EPS_TEST_MCC``, ``EPS_PR_MCC`` and
+``EPS_PR_ERROR``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import json
 import logging
 import os
 import signal
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,17 +46,6 @@ from .genome import TOPOLOGY_BITS, decode_topology, repair_feature_prefix
 from .market_data import DatasetSplits, PatternSet
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class EvalConfig:
-    cycles: int = 3
-    max_iter: int = 200     # SCG iterations of one training
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,8 +68,6 @@ class EvalRecord:
     """Objectives plus the reporting metrics averaged over cycles."""
 
     objectives: ObjectiveVector
-    cycle_errors_test: tuple[float, ...]
-    cycle_errors_pr: tuple[float, ...]
     test_error_rate: float   # 1 - overall accuracy on the test window
     pr_error_rate: float
     test_mcc: float
@@ -189,8 +175,6 @@ def _record(c: float, rows) -> EvalRecord:
         objectives=ObjectiveVector(
             e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
         ),
-        cycle_errors_test=errs_test,
-        cycle_errors_pr=errs_pr,
         test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
         pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
         test_mcc=float(np.mean(mccs_test)),
@@ -199,16 +183,18 @@ def _record(c: float, rows) -> EvalRecord:
 
 
 class _EvaluationProblem:
-    """Shared machinery: bitstring cache, FE accounting, cycle loop, trace log."""
+    """Shared machinery: bitstring cache, FE accounting, and the loop of a
+    genome's ``cycles`` trainings of ``max_iter`` SCG iterations each."""
 
-    def __init__(self, splits: DatasetSplits, cfg: EvalConfig, trace_path=None,
+    def __init__(self, splits: DatasetSplits, cycles: int, max_iter: int, master_seed: int,
                  workers: TrainingWorkers | None = None):
         self.splits = splits
-        self.cfg = cfg
+        self.cycles = cycles
+        self.max_iter = max_iter
+        self.master_seed = master_seed
         self.cache: dict[str, EvalRecord] = {}
         self.fe_count = 0
         self.cache_hits = 0
-        self._trace_path = trace_path
         self._workers = workers
         self._started: dict[str, tuple] = {}    # bits -> (complexity, calls giving cycle rows)
 
@@ -236,7 +222,7 @@ class _EvaluationProblem:
         for bits_str in genomes:
             if bits_str not in self.cache and bits_str not in self._started:
                 c, one_cycle = self._cycle_trainer(bits_str)
-                ks = range(1, self.cfg.cycles + 1)
+                ks = range(1, self.cycles + 1)
                 self._started[bits_str] = c, (
                     [functools.partial(one_cycle, k) for k in ks] if self._workers is None
                     else [self._workers.submit(one_cycle, k, self._workers.processes).result
@@ -247,14 +233,11 @@ class _EvaluationProblem:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        started = time.perf_counter()
         self.start([bits_str])
         c, calls = self._started.pop(bits_str)
         record = _record(c, [call() for call in calls])
         self.fe_count += 1
         self.cache[bits_str] = record
-        if self._trace_path is not None:
-            self._append_trace(bits_str, record, time.perf_counter() - started)
         return record
 
     def _cycle_trainer(self, bits_str: str):
@@ -271,8 +254,8 @@ class _EvaluationProblem:
         def one_cycle(k, processes=None):
             train = self.splits.d_train
             x_train = train.features[:, columns] if columns is not None else train.features
-            seed = cycle_seed(self.cfg.master_seed, bits_str, k)
-            model = neural.scg_train(topology, x_train, train.labels, self.cfg.max_iter, seed,
+            seed = cycle_seed(self.master_seed, bits_str, k)
+            model = neural.scg_train(topology, x_train, train.labels, self.max_iter, seed,
                                      processes=processes)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
@@ -282,17 +265,6 @@ class _EvaluationProblem:
                     + split_scores(model, self.splits.d_pr, columns))
 
         return c, one_cycle
-
-    def _append_trace(self, bits_str, record, wall_time):
-        entry = {
-            "genome": bits_str,
-            "objectives": record.objectives.as_tuple(),
-            "cycle_errors_test": record.cycle_errors_test,
-            "cycle_errors_pr": record.cycle_errors_pr,
-            "wall_time": wall_time,
-        }
-        with open(self._trace_path, "a") as fh:
-            fh.write(json.dumps(entry) + "\n")
 
 
 class CoevolutionProblem(_EvaluationProblem):
@@ -324,9 +296,9 @@ class TopologyOnlyProblem(_EvaluationProblem):
 
     n_bits = TOPOLOGY_BITS
 
-    def __init__(self, splits: DatasetSplits, n_features: int, cfg: EvalConfig,
-                 trace_path=None, workers: TrainingWorkers | None = None):
-        super().__init__(splits, cfg, trace_path, workers)
+    def __init__(self, splits: DatasetSplits, n_features: int, cycles: int, max_iter: int,
+                 master_seed: int, workers: TrainingWorkers | None = None):
+        super().__init__(splits, cycles, max_iter, master_seed, workers)
         self.n_features = n_features
 
     def repair(self, bits: np.ndarray, rng) -> np.ndarray:
@@ -343,18 +315,6 @@ EPS_PR_MCC = 0.05
 EPS_PR_ERROR = 0.50
 
 
-@dataclass
-class ScalarizedConfig:
-    """Preference weights of the scalar objective."""
-
-    theta_e: float = 0.5
-    theta_c: float = 0.5
-
-    def __post_init__(self):
-        if self.theta_e < 0 or self.theta_c < 0:
-            raise ValueError("preference weights must be nonnegative")
-
-
 def penalty(record: EvalRecord) -> float:
     return 5.0 * (
         max(0.0, EPS_TEST_MCC - record.test_mcc)
@@ -363,7 +323,5 @@ def penalty(record: EvalRecord) -> float:
     )
 
 
-def scalarized_value(record: EvalRecord, cfg: ScalarizedConfig) -> float:
-    return (cfg.theta_e * record.test_error_rate
-            + cfg.theta_c * record.objectives.c
-            + penalty(record))
+def scalarized_value(record: EvalRecord, theta_e: float, theta_c: float) -> float:
+    return theta_e * record.test_error_rate + theta_c * record.objectives.c + penalty(record)

@@ -34,10 +34,10 @@ import numpy as np
 from . import baselines, moea, neural
 from .decision import PreferenceSpec, preference_weights, select_architecture
 from .market_data import DatasetSplits
-from .moea import EagdConfig, Nsga2Config, ParetoArchive, merge_archives
+from .moea import ParetoArchive, merge_archives
 from .neural import ActivationKind, Topology
-from .objectives import (SCORE_NAMES, CoevolutionProblem, EvalConfig, ObjectiveVector,
-                         TopologyOnlyProblem, TrainingWorkers, split_scores)
+from .objectives import (SCORE_NAMES, CoevolutionProblem, ObjectiveVector, TopologyOnlyProblem,
+                         TrainingWorkers, split_scores)
 
 logger = logging.getLogger(__name__)
 
@@ -80,28 +80,47 @@ def read_archive_jsonl(path) -> tuple[ParetoArchive, dict, dict]:
 
 @dataclass
 class SearchSettings:
-    """Desk-scale defaults; the paper-scale protocol is one flag away."""
+    """The one settings object of a search; the ``search`` flags give the defaults.
 
-    algorithm: str = "nsga2"
-    max_evaluations: int = 2000
-    runs: int = 5
-    master_seed: int = 1
-    cycles: int = 2
-    scg_max_iter: int = 200
-    population: int = 50
-    reduction: str = "mrmr"        # topology-only: mrmr | cfs | pca
-    reduction_k: int = 17
-    scenario: str = "balanced"     # scalarized preset weights
+    Every engine and evaluation problem of the search reads its settings from
+    here, and a value that no run could use, whatever the data, is refused when
+    the object is built, before a search forks its workers. The population is
+    ignored by ``random``.
+    """
+
+    algorithm: str
+    max_evaluations: int
+    runs: int
+    master_seed: int
+    cycles: int
+    scg_max_iter: int
+    population: int
+    reduction: str          # topology-only: mrmr | cfs | pca
+    reduction_k: int
+    scenario: str           # scalarized preset weights
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        if self.reduction not in baselines.REDUCTIONS:
+            raise ValueError(f"unknown reduction {self.reduction!r}; "
+                             f"choose from {baselines.REDUCTIONS}")
+        if self.scenario not in baselines.SCALARIZED_SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}; "
+                             f"choose from {tuple(baselines.SCALARIZED_SCENARIOS)}")
         if self.max_evaluations < 1:
             raise ValueError(f"max_evaluations {self.max_evaluations} must be >= 1")
         if self.runs < 1:
             raise ValueError(f"runs {self.runs} must be >= 1")
-        if self.scg_max_iter < 0:       # refused before a search forks its workers
+        if self.cycles < 1:
+            raise ValueError("cycles must be >= 1")
+        if self.scg_max_iter < 0:
             raise ValueError(f"SCG max_iter {self.scg_max_iter} must be non-negative")
+        even = self.population >= 2 and self.population % 2 == 0
+        if self.algorithm in ("nsga2", "scalarized", "topology-only") and not even:
+            raise ValueError("population must be even and >= 2")
+        if self.algorithm == "eagd" and self.population < 2:
+            raise ValueError("population must be >= 2")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -117,13 +136,13 @@ def make_problem(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
     co-evolution genome, one feature bit per column. ``workers``, when given,
     train its cycles.
     """
-    cfg = EvalConfig(cycles=settings.cycles, max_iter=settings.scg_max_iter, master_seed=run_seed)
+    training = (settings.cycles, settings.scg_max_iter, run_seed)
     if settings.algorithm == "topology-only":
         reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
                                             settings.reduction_k)
         return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction),
-                                   splits.d_train.n_features, cfg, workers=workers)
-    return CoevolutionProblem(splits, cfg, workers=workers)
+                                   splits.d_train.n_features, *training, workers=workers)
+    return CoevolutionProblem(splits, *training, workers=workers)
 
 
 def run_single_seed(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
@@ -134,14 +153,14 @@ def run_single_seed(splits: DatasetSplits, settings: SearchSettings, run_seed: i
                   max_evaluations=settings.max_evaluations, seed=run_seed)
     algo = settings.algorithm
     if algo == "eagd":
-        archive, stats = moea.eagd_run(problem, EagdConfig(**engine))
+        archive, stats = moea.eagd_run(problem, **engine)
     elif algo == "scalarized":
         archive, stats = baselines.scalarized_search(
-            problem, baselines.SCALARIZED_SCENARIOS[settings.scenario], Nsga2Config(**engine))
+            problem, baselines.SCALARIZED_SCENARIOS[settings.scenario], **engine)
     elif algo == "random":
         archive, stats = moea.random_search_run(problem, settings.max_evaluations, run_seed), []
     else:   # nsga2, and topology-only over its reduced inputs
-        archive, stats = moea.nsga2_run(problem, Nsga2Config(**engine))
+        archive, stats = moea.nsga2_run(problem, **engine)
     return archive, stats, problem
 
 

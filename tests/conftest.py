@@ -6,7 +6,7 @@ import pytest
 from coevonet import moea
 from coevonet.genome import string_to_bits
 from coevonet.market_data import DatasetSplits, OhlcvSeries, PatternSet, SplitSpec
-from coevonet.objectives import CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector
+from coevonet.objectives import CoevolutionProblem, EvalRecord, ObjectiveVector
 
 
 #: ``search`` flags of a tiny two-run search per --algo; topology-only under
@@ -49,7 +49,8 @@ def truncated(series, n_bars):
 
 @functools.cache
 def _problem_over(n_features):
-    return CoevolutionProblem(make_planted_splits(n_features), EvalConfig())
+    return CoevolutionProblem(make_planted_splits(n_features), cycles=1, max_iter=0,
+                              master_seed=0)     # draws genomes only: never trains
 
 
 def random_genome(n_features, rng):
@@ -58,9 +59,10 @@ def random_genome(n_features, rng):
     return moea._random_genome(_problem_over(n_features), rng)
 
 
-def evaluate(genome, splits, cfg):
-    """Objectives of one genome on a fresh problem (no cache reuse)."""
-    return CoevolutionProblem(splits, cfg).evaluate(genome).objectives
+def evaluate(genome, splits, **training):
+    """Objectives of one genome on a fresh problem (no cache reuse); ``training``
+    holds the problem's ``cycles``, ``max_iter`` and ``master_seed``."""
+    return CoevolutionProblem(splits, **training).evaluate(genome).objectives
 
 
 def objective_matrix(archive):
@@ -136,7 +138,6 @@ class MockProblem:
         scale = 0.05 + 0.95 * g
         rec = EvalRecord(
             objectives=ObjectiveVector(scale * u * v, scale * u * (1 - v), scale * (1 - u)),
-            cycle_errors_test=(0.0,), cycle_errors_pr=(0.0,),
             test_error_rate=0.0, pr_error_rate=0.0, test_mcc=0.0, pr_mcc=0.0,
         )
         self.fe_count += 1

@@ -7,9 +7,8 @@ from coevonet.baselines import (
     mrmr_select, mutual_information, pca_reduce, reduce_splits, rule_of_thumb,
     scalarized_search, symmetrical_uncertainty,
 )
-from coevonet.moea import Nsga2Config, nsga2_run
-from coevonet.objectives import (CoevolutionProblem, EvalConfig, ScalarizedConfig,
-                                 TopologyOnlyProblem)
+from coevonet.moea import nsga2_run
+from coevonet.objectives import CoevolutionProblem, TopologyOnlyProblem
 
 
 class TestPca:
@@ -149,10 +148,8 @@ class TestSearchBaselines:
         return make_planted_splits(n_features=8, seed=14)
 
     def test_topology_only_archive(self, splits):
-        cfg = Nsga2Config(population=10, max_evaluations=40, seed=2)
-        eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=2)
-        problem = TopologyOnlyProblem(splits, 8, eval_cfg)
-        archive, _ = nsga2_run(problem, cfg)
+        problem = TopologyOnlyProblem(splits, 8, cycles=1, max_iter=15, master_seed=2)
+        archive, _ = nsga2_run(problem, population=10, max_evaluations=40, seed=2)
         assert problem.n_bits == 16
         assert len(archive) >= 1
         # feature term is frozen: complexity differences come from topology only
@@ -162,19 +159,17 @@ class TestSearchBaselines:
             assert obj.c >= feature_term - 1e-12
 
     def test_scalarized_deterministic(self, splits):
-        cfg = Nsga2Config(population=10, max_evaluations=50, seed=3)
-        eval_cfg = EvalConfig(cycles=1, max_iter=15, master_seed=3)
-        a1, t1 = scalarized_search(CoevolutionProblem(splits, eval_cfg),
-                                   ScalarizedConfig(), cfg)
-        a2, t2 = scalarized_search(CoevolutionProblem(splits, eval_cfg),
-                                   ScalarizedConfig(), cfg)
+        training = dict(cycles=1, max_iter=15, master_seed=3)
+        engine = dict(population=10, max_evaluations=50, seed=3)
+        a1, t1 = scalarized_search(CoevolutionProblem(splits, **training), (0.5, 0.5), **engine)
+        a2, t2 = scalarized_search(CoevolutionProblem(splits, **training), (0.5, 0.5), **engine)
         assert len(a1) == 1
         assert a1.members() == a2.members()
         assert t1 == t2
         assert t1[-1].best_value <= t1[0].best_value
 
     def test_scenarios_cover_printed_weights(self):
-        weights = sorted((c.theta_e, c.theta_c) for c in SCALARIZED_SCENARIOS.values())
+        weights = sorted(SCALARIZED_SCENARIOS.values())
         assert weights == [(0.25, 0.75), (0.50, 0.50), (0.75, 0.25)]
 
     def test_fit_reduction_dispatch(self, splits):

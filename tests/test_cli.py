@@ -231,13 +231,6 @@ def test_holdout_eval_cycles_0_exits_1(sessions, capsys):
     assert "cycles must be >= 1" in capsys.readouterr().err
 
 
-def test_eagd_population_0_exits_1(sessions, tmp_path, capsys):
-    assert cli.main(["search", "--data", str(sessions[0] / "data"), "--algo", "eagd",
-                     "--population", "0", "--fe", "5", "--runs", "1",
-                     "--out", str(tmp_path)]) == 1
-    assert "population must be >= 2" in capsys.readouterr().err
-
-
 def _count_forks(monkeypatch) -> list[int]:
     """The pid of every ``os.fork`` call from now on, in call order."""
     forks = []
@@ -249,6 +242,62 @@ def _count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def test_eagd_population_0_exits_1(sessions, tmp_path, capsys, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    assert cli.main(["search", "--data", str(sessions[0] / "data"), "--algo", "eagd",
+                     "--population", "0", "--fe", "5", "--runs", "1", "--cycles", "2",
+                     "--out", str(tmp_path)]) == 1
+    assert "population must be >= 2" in capsys.readouterr().err
+    assert forks == []      # refused before a multi-cycle search forks its workers
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--population", "3", "--cycles", "2"], None, "population must be even and >= 2"),
+    (["--cycles", "0"], None, "cycles must be >= 1"),
+    # a config file's value reaches the settings without the flag's choices
+    (["--algo", "scalarized", "--cycles", "2"], {"scenario": "bogus"},
+     "unknown scenario 'bogus'"),
+    (["--algo", "topology-only", "--cycles", "2"], {"reduction": "lasso"},
+     "unknown reduction 'lasso'"),
+], ids=["odd-population", "cycles-0", "config-scenario", "config-reduction"])
+def test_search_setting_no_run_could_use_exits_1_before_forking(
+        sessions, tmp_path, capsys, monkeypatch, flags, config, message):
+    forks = _count_forks(monkeypatch)
+    argv = ["search", "--data", str(sessions[0] / "data"), "--fe", "4", "--runs", "1",
+            "--scg-iters", "5", "--out", str(tmp_path / "run"), *flags]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert forks == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags", [["--algo", "random", "--population", "1", "--cycles", "2"],
+                                   ["--algo", "eagd", "--population", "7", "--cycles", "1"]],
+                         ids=["random-ignores-population", "eagd-odd-population"])
+def test_search_population_the_engine_accepts_runs(sessions, tmp_path, flags):
+    assert cli.main(["search", "--data", str(sessions[0] / "data"), "--fe", "4", "--runs", "1",
+                     "--scg-iters", "5", "--out", str(tmp_path), *flags]) == 0
+    assert (tmp_path / "merged" / "archive.jsonl").exists()
+
+
+def test_holdout_eval_of_an_archive_without_settings_names_it(sessions, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(sessions[0] / "run", run)
+    merged = run / "merged" / "archive.jsonl"
+    rows = _jsonl(merged)
+    del rows[0]["settings"]
+    merged.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    record = (run / "holdout" / "O2.json").read_bytes()
+    assert cli.main(["holdout-eval", "--data", str(sessions[0] / "data"), "--run", str(run),
+                     "--preset", "O2", "--scg-iters", "5"]) == 1
+    assert (f"the merged archive under {run} records no search settings"
+            in capsys.readouterr().err)
+    assert (run / "holdout" / "O2.json").read_bytes() == record
 
 
 @pytest.mark.parametrize("step", ["search", "baseline", "holdout-eval"])

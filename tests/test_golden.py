@@ -23,28 +23,29 @@ from pathlib import Path
 import pytest
 
 from conftest import TINY_SEARCHES, MockProblem, make_planted_splits
+from coevonet import moea
 from coevonet.baselines import scalarized_search
-from coevonet.moea import EagdConfig, Nsga2Config, eagd_run, nsga2_run, random_search_run
-from coevonet.objectives import CoevolutionProblem, EvalConfig, ScalarizedConfig
+from coevonet.moea import eagd_run, nsga2_run, random_search_run
+from coevonet.objectives import CoevolutionProblem
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_engines.json")).read_text())
 
 RUNS = {
-    "nsga2/3": lambda: nsga2_run(
-        MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=3)),
-    "nsga2/11": lambda: nsga2_run(
-        MockProblem(), Nsga2Config(population=8, max_evaluations=60, seed=11)),
-    "nsga2/small-budget": lambda: nsga2_run(
-        MockProblem(), Nsga2Config(population=8, max_evaluations=5, seed=2)),
-    "eagd/3": lambda: eagd_run(MockProblem(), EagdConfig(
-        population=8, learning_generations=2, max_evaluations=60, seed=3)),
-    "eagd/11": lambda: eagd_run(MockProblem(), EagdConfig(
-        population=8, learning_generations=2, max_evaluations=60, seed=11)),
-    "eagd/small-budget": lambda: eagd_run(
-        MockProblem(), EagdConfig(population=8, max_evaluations=5, seed=2)),
+    "nsga2/3": lambda: nsga2_run(MockProblem(), population=8, max_evaluations=60, seed=3),
+    "nsga2/11": lambda: nsga2_run(MockProblem(), population=8, max_evaluations=60, seed=11),
+    "nsga2/small-budget": lambda: nsga2_run(MockProblem(), population=8, max_evaluations=5,
+                                            seed=2),
+    "eagd/3": lambda: eagd_run(MockProblem(), population=8, max_evaluations=60, seed=3),
+    "eagd/11": lambda: eagd_run(MockProblem(), population=8, max_evaluations=60, seed=11),
+    "eagd/small-budget": lambda: eagd_run(MockProblem(), population=8, max_evaluations=5,
+                                          seed=2),
     "random/3": lambda: (random_search_run(MockProblem(), 40, 3), None),
     "random/11": lambda: (random_search_run(MockProblem(), 40, 11), None),
 }
+
+#: Runs recorded with the archive guiding EAGD every 2 generations, not every
+#: ``moea.LEARNING_GENERATIONS``, so that a 60-FE run is guided at all.
+GUIDED_EVERY_2 = {"eagd/3", "eagd/11"}
 
 
 def _members(archive):
@@ -57,7 +58,9 @@ def _stats(stats):
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_engine_matches_recorded_run(name):
+def test_engine_matches_recorded_run(name, monkeypatch):
+    if name in GUIDED_EVERY_2:
+        monkeypatch.setattr(moea, "LEARNING_GENERATIONS", 2)
     archive, stats = RUNS[name]()
     expected = GOLDEN[name]
     assert _members(archive) == expected["members"]
@@ -67,9 +70,9 @@ def test_engine_matches_recorded_run(name):
 
 def test_scalarized_matches_recorded_run():
     splits = make_planted_splits(n_features=8, seed=14)
-    problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=15, master_seed=3))
-    archive, trace = scalarized_search(problem, ScalarizedConfig(),
-                                       Nsga2Config(population=6, max_evaluations=30, seed=3))
+    problem = CoevolutionProblem(splits, cycles=2, max_iter=15, master_seed=3)
+    archive, trace = scalarized_search(problem, (0.5, 0.5), population=6, max_evaluations=30,
+                                       seed=3)
     expected = GOLDEN["scalarized"]
     [(best_bits, _)] = archive.members()
     assert best_bits == expected["best_bits"]

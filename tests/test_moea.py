@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import MockProblem, is_dominance_fixed_point, objective_matrix
+from coevonet import runner
 from coevonet.moea import (
-    EagdConfig, GenerationStats, Nsga2Config, ParetoArchive, _evaluate_batch, bitflip_mutation,
+    GenerationStats, ParetoArchive, _evaluate_batch, bitflip_mutation,
     crowding_distance, crowding_tournament, dominates, eagd_run,
     fast_nondominated_sort, hypervolume, merge_archives, nongeometric_crossover,
     nsga2_run, random_search_run, simplex_lattice_weights, uniform_crossover,
@@ -234,21 +235,20 @@ class TestHypervolume:
 
 class TestEngines:
     def test_nsga2_deterministic(self):
-        cfg = Nsga2Config(population=20, max_evaluations=200, seed=5)
-        a1, s1 = nsga2_run(MockProblem(), cfg)
-        a2, s2 = nsga2_run(MockProblem(), cfg)
+        cfg = dict(population=20, max_evaluations=200, seed=5)
+        a1, s1 = nsga2_run(MockProblem(), **cfg)
+        a2, s2 = nsga2_run(MockProblem(), **cfg)
         assert a1.members() == a2.members()
         assert [g.hypervolume for g in s1] == [g.hypervolume for g in s2]
 
     def test_nsga2_respects_budget(self):
         problem = MockProblem()
-        nsga2_run(problem, Nsga2Config(population=20, max_evaluations=137, seed=1))
+        nsga2_run(problem, population=20, max_evaluations=137, seed=1)
         assert problem.fe_count <= 137
 
     def test_nsga2_front_is_fixed_point_and_elitist(self):
         problem = MockProblem()
-        archive, stats = nsga2_run(problem, Nsga2Config(population=20,
-                                                        max_evaluations=400, seed=2))
+        archive, stats = nsga2_run(problem, population=20, max_evaluations=400, seed=2)
         assert is_dominance_fixed_point(archive)
         best = np.array([g.best for g in stats])
         assert np.all(np.diff(best, axis=0) <= 1e-12)
@@ -258,8 +258,7 @@ class TestEngines:
         wins = 0
         for seed in range(20):
             p1, p2 = MockProblem(), MockProblem()
-            archive, _ = nsga2_run(p1, Nsga2Config(population=12,
-                                                   max_evaluations=100, seed=seed))
+            archive, _ = nsga2_run(p1, population=12, max_evaluations=100, seed=seed)
             random_archive = random_search_run(p2, 100, seed)
             hv_a = hypervolume(objective_matrix(archive), ref)
             hv_r = hypervolume(objective_matrix(random_archive), ref)
@@ -274,6 +273,15 @@ class TestEngines:
         assert [bits for bits, _ in evaluated] == batch and not exhausted
         assert (problem.fe_count, problem.cache_hits) == (3, 0)
 
+    def test_random_search_starts_what_the_budget_has_left(self, monkeypatch):
+        problem = MockProblem()
+        problem.n_bits = 6      # 64 genomes: a batch of 30 holds repeats
+        started = []            # the fresh genomes of each batch, queued at once
+        monkeypatch.setattr(problem, "start", lambda genomes: started.append(len(genomes)))
+        random_search_run(problem, 30, seed=3)
+        assert problem.cache_hits > 0 and len(started) > 1
+        assert started[0] > 1 and sum(started) == problem.fe_count == 30
+
     def test_eagd_weight_vectors(self):
         w = simplex_lattice_weights(3, 50)
         assert w.shape == (50, 3)
@@ -284,25 +292,27 @@ class TestEngines:
         assert math.comb(9 + 2, 2) == 55
 
     def test_eagd_deterministic_and_budgeted(self):
-        cfg = EagdConfig(population=20, max_evaluations=150, seed=3)
+        cfg = dict(population=20, max_evaluations=150, seed=3)
         p1, p2 = MockProblem(), MockProblem()
-        a1, _ = eagd_run(p1, cfg)
-        a2, _ = eagd_run(p2, cfg)
+        a1, _ = eagd_run(p1, **cfg)
+        a2, _ = eagd_run(p2, **cfg)
         assert a1.members() == a2.members()
         assert p1.fe_count <= 150
         assert is_dominance_fixed_point(a1)
 
-    # Ids keep the case names fixed; bad2 and bad3 tested fields that became constants.
-    @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0),
-                                     dict(learning_generations=-1)],
-                             ids=["bad0", "bad1", "bad4"])
+    # EAGD's settings are a search's settings. Ids keep the case names fixed; bad2, bad3
+    # and bad4 tested fields that became constants.
+    @pytest.mark.parametrize("bad", [dict(population=1), dict(population=0)],
+                             ids=["bad0", "bad1"])
     def test_eagd_config_rejects_invalid_values(self, bad):
-        with pytest.raises(ValueError):
-            EagdConfig(**bad)
+        settings = dict(algorithm="eagd", max_evaluations=10, runs=1, master_seed=1, cycles=1,
+                        scg_max_iter=10, population=4, reduction="mrmr", reduction_k=3,
+                        scenario="balanced")
+        with pytest.raises(ValueError, match="population must be >= 2"):
+            runner.SearchSettings(**{**settings, **bad})
 
     def test_generation_stats_csv_round_trip(self, tmp_path):
-        _, stats = nsga2_run(MockProblem(), Nsga2Config(population=20,
-                                                        max_evaluations=100, seed=4))
+        _, stats = nsga2_run(MockProblem(), population=20, max_evaluations=100, seed=4)
         from coevonet.moea import write_generation_csv
         path = tmp_path / "gen.csv"
         write_generation_csv(path, stats, preamble="config_hash=abc master_seed=1")

@@ -16,8 +16,8 @@ from coevonet.genome import encode, Architecture
 from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
-    CoevolutionProblem, EvalConfig, EvalRecord, ObjectiveVector, ScalarizedConfig,
-    TopologyOnlyProblem, TrainingWorkers, cycle_seed, penalty, scalarized_value, split_scores,
+    CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, TrainingWorkers,
+    cycle_seed, penalty, scalarized_value, split_scores,
 )
 
 TANH = ActivationKind.TANH
@@ -48,14 +48,14 @@ class TestObjectiveVector:
 class TestEvaluate:
     def test_deterministic_across_calls(self, splits):
         bits = genome_for([0, 1], [(3, TANH)])
-        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=5)
-        v1 = evaluate(bits, splits, cfg)
-        v2 = evaluate(bits, splits, cfg)
+        cfg = dict(cycles=1, max_iter=FAST, master_seed=5)
+        v1 = evaluate(bits, splits, **cfg)
+        v2 = evaluate(bits, splits, **cfg)
         assert v1 == v2
 
     def test_components_within_bounds(self, splits):
-        cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=5)
-        problem = CoevolutionProblem(splits, cfg)
+        cfg = dict(cycles=2, max_iter=FAST, master_seed=5)
+        problem = CoevolutionProblem(splits, **cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
             rec = problem.evaluate(moea._random_genome(problem, rng))
@@ -64,8 +64,8 @@ class TestEvaluate:
 
     def test_cycle_mean_property(self, splits):
         bits = genome_for([0, 2], [(4, TANH)])
-        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        rec = CoevolutionProblem(splits, cfg).evaluate(bits)
+        cfg = dict(cycles=3, max_iter=FAST, master_seed=9)
+        rec = CoevolutionProblem(splits, **cfg).evaluate(bits)
         # independently seeded single-cycle trainings reproduce the mean
         singles = []
         for k in (1, 2, 3):
@@ -75,25 +75,24 @@ class TestEvaluate:
                                      FAST, seed)
             pred = neural.predict(model, splits.d_test.features[:, [0, 2]])
             singles.append(neural.balanced_error(neural.confusion(pred, splits.d_test.labels)))
-        assert rec.cycle_errors_test == tuple(singles)
-        assert rec.objectives.e_cv == pytest.approx(np.mean(singles))
+        assert rec.objectives.e_cv == float(np.mean(singles))
 
     def test_mother_complexity_is_one(self, splits):
         bits = genome_for(range(8), [(127, TANH), (127, TANH)])
-        cfg = EvalConfig(cycles=1, max_iter=5, master_seed=1)
-        assert evaluate(bits, splits, cfg).c == 1.0
+        cfg = dict(cycles=1, max_iter=5, master_seed=1)
+        assert evaluate(bits, splits, **cfg).c == 1.0
 
     def test_direct_network_learns_separable_problem(self, splits):
         # the planted label is sign(feature 0): no hidden layer needed
         bits = genome_for([0])
-        cfg = EvalConfig(cycles=1, max_iter=100, master_seed=3)
-        vec = evaluate(bits, splits, cfg)
+        cfg = dict(cycles=1, max_iter=100, master_seed=3)
+        vec = evaluate(bits, splits, **cfg)
         assert vec.e_cv < 0.5
         assert vec.e_pr < 0.5
 
     def test_cache_and_fe_accounting(self, splits):
-        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=2)
-        problem = CoevolutionProblem(splits, cfg)
+        cfg = dict(cycles=1, max_iter=FAST, master_seed=2)
+        problem = CoevolutionProblem(splits, **cfg)
         bits = genome_for([1, 3], [(2, TANH)])
         problem.evaluate(bits)
         assert (problem.fe_count, problem.cache_hits) == (1, 0)
@@ -105,27 +104,17 @@ class TestEvaluate:
             return neural.TrainedModel(topology, [], float("nan"), 0, aborted=True)
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
-        cfg = EvalConfig(cycles=2, max_iter=FAST, master_seed=2)
-        rec = CoevolutionProblem(splits, cfg).evaluate(genome_for([0]))
+        cfg = dict(cycles=2, max_iter=FAST, master_seed=2)
+        rec = CoevolutionProblem(splits, **cfg).evaluate(genome_for([0]))
         assert rec.objectives.e_cv == 1.0
         assert rec.objectives.e_pr == 1.0
         assert rec.test_mcc == -1.0
 
     def test_sealed_holdout_never_read(self, splits):
         # evaluation touches pr/train/test only; a sealed hold split is fine
-        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
+        cfg = dict(cycles=1, max_iter=FAST, master_seed=1)
         assert splits.d_hold.sealed
-        evaluate(genome_for([0]), splits, cfg)
-
-    def test_trace_log_written(self, splits, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
-        problem = CoevolutionProblem(splits, cfg, trace_path=trace)
-        problem.evaluate(genome_for([0, 1]))
-        import json
-        entry = json.loads(trace.read_text().splitlines()[0])
-        assert set(entry) == {"genome", "objectives", "cycle_errors_test",
-                              "cycle_errors_pr", "wall_time"}
+        evaluate(genome_for([0]), splits, **cfg)
 
 
 class TestConcurrentCycles:
@@ -134,8 +123,8 @@ class TestConcurrentCycles:
     def test_three_cycle_record_equals_serial_cycles(self, splits):
         columns, topology = [0, 2, 5], Topology(((4, TANH), (3, ActivationKind.SIGMOID)))
         bits = genome_for(columns, topology.layers)
-        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        rec = CoevolutionProblem(splits, cfg).evaluate(bits)
+        cfg = dict(cycles=3, max_iter=FAST, master_seed=9)
+        rec = CoevolutionProblem(splits, **cfg).evaluate(bits)
         rows = []
         for k in (1, 2, 3):
             model = neural.scg_train(topology, splits.d_train.features[:, columns],
@@ -146,8 +135,6 @@ class TestConcurrentCycles:
         assert rec == EvalRecord(
             objectives=ObjectiveVector(float(np.mean(errs_test)), rec.objectives.c,
                                        float(np.mean(errs_pr))),
-            cycle_errors_test=errs_test,
-            cycle_errors_pr=errs_pr,
             test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
             pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
             test_mcc=float(np.mean(mccs_test)),
@@ -167,7 +154,7 @@ class TestConcurrentCycles:
 
     def test_one_training_per_cycle_and_none_for_cache_hits(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, EvalConfig(cycles=3, max_iter=FAST))
+        problem = CoevolutionProblem(splits, cycles=3, max_iter=FAST, master_seed=0)
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         for bits in genomes + genomes:
             problem.evaluate(bits)
@@ -176,13 +163,13 @@ class TestConcurrentCycles:
 
     def test_single_cycle_trains_on_the_calling_thread(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        CoevolutionProblem(splits, EvalConfig(cycles=1, max_iter=FAST)).evaluate(
+        CoevolutionProblem(splits, cycles=1, max_iter=FAST, master_seed=0).evaluate(
             genome_for([0, 1], [(3, TANH)]))
         assert threads == [threading.get_ident()]
 
     def test_start_without_workers_trains_when_evaluate_collects(self, splits, monkeypatch):
         threads = self.counting_trainer(monkeypatch)
-        problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST))
+        problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0)
         genomes = [genome_for([0, 1], [(3, TANH)]), genome_for([2])]
         problem.start(genomes)
         assert threads == []
@@ -191,7 +178,7 @@ class TestConcurrentCycles:
 
     def test_queued_genomes_hold_no_copy_of_the_training_matrix(self):
         splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
-        problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST))
+        problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0)
         rng = np.random.default_rng(0)
         genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
         tracemalloc.start()
@@ -234,10 +221,10 @@ class TestTrainingWorkers:
                genome_for([0, 1, 5], [(3, ActivationKind.SIGMOID), (2, TANH)])]
 
     def test_started_batch_records_equal_inline_records(self, splits):
-        cfg = EvalConfig(cycles=3, max_iter=FAST, master_seed=9)
-        inline = CoevolutionProblem(splits, cfg)
+        cfg = dict(cycles=3, max_iter=FAST, master_seed=9)
+        inline = CoevolutionProblem(splits, **cfg)
         with TrainingWorkers() as workers:
-            pooled = CoevolutionProblem(splits, cfg, workers=workers)
+            pooled = CoevolutionProblem(splits, **cfg, workers=workers)
             pooled.start(self.GENOMES)
             records = [pooled.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
         assert records == [inline.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
@@ -253,7 +240,7 @@ class TestTrainingWorkers:
 
         monkeypatch.setattr(neural, "scg_train", counted)
         with TrainingWorkers() as workers:
-            problem = CoevolutionProblem(splits, EvalConfig(cycles=2, max_iter=FAST),
+            problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0,
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
             moea._evaluate_batch(problem, self.GENOMES, cap=10)
@@ -265,11 +252,11 @@ class TestTrainingWorkers:
         train = splits.d_train
         huge = dataclasses.replace(
             splits, d_train=PatternSet(train.features * 1e300, train.labels, train.dates))
-        cfg = EvalConfig(cycles=2, max_iter=FAST)
+        cfg = dict(cycles=2, max_iter=FAST, master_seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
             with TrainingWorkers() if in_workers else contextlib.nullcontext() as workers:
-                problem = CoevolutionProblem(huge, cfg, workers=workers)
+                problem = CoevolutionProblem(huge, **cfg, workers=workers)
                 with pytest.raises(RuntimeWarning, match="overflow encountered"):
                     problem.evaluate(genome_for([0, 1]))
         assert (problem.fe_count, problem.cache) == (0, {})
@@ -277,8 +264,8 @@ class TestTrainingWorkers:
 
 class TestTopologyOnly:
     def test_sixteen_bit_genomes(self, splits):
-        cfg = EvalConfig(cycles=1, max_iter=FAST, master_seed=1)
-        problem = TopologyOnlyProblem(splits, 8, cfg)
+        cfg = dict(cycles=1, max_iter=FAST, master_seed=1)
+        problem = TopologyOnlyProblem(splits, 8, **cfg)
         assert problem.n_bits == 16
         rec = problem.evaluate("0010010" + "1" + "0000000" + "0")
         # feature term frozen at d/n_f
@@ -289,16 +276,14 @@ class TestScalarized:
     def make_record(self, e=0.3, c=0.2, test_mcc=0.3, pr_mcc=0.3, pr_err=0.3):
         return EvalRecord(
             objectives=ObjectiveVector(e, c, e),
-            cycle_errors_test=(e,), cycle_errors_pr=(e,),
             test_error_rate=e, pr_error_rate=pr_err,
             test_mcc=test_mcc, pr_mcc=pr_mcc,
         )
 
     def test_no_penalty_when_constraints_hold(self):
-        cfg = ScalarizedConfig(theta_e=0.5, theta_c=0.5)
         rec = self.make_record()
         assert penalty(rec) == 0.0
-        assert scalarized_value(rec, cfg) == pytest.approx(0.5 * 0.3 + 0.5 * 0.2)
+        assert scalarized_value(rec, 0.5, 0.5) == pytest.approx(0.5 * 0.3 + 0.5 * 0.2)
 
     def test_mcc_shortfall_penalty(self):
         rec = self.make_record(test_mcc=-0.05)     # 0.10 short of EPS_TEST_MCC
@@ -309,18 +294,12 @@ class TestScalarized:
         assert penalty(rec) == pytest.approx(5 * 0.2)
 
     def test_penalty_free_always_preferred_at_equal_weighted_sum(self):
-        cfg = ScalarizedConfig()
         clean = self.make_record()
         dirty = self.make_record(test_mcc=-0.2)
-        assert scalarized_value(clean, cfg) < scalarized_value(dirty, cfg)
+        assert scalarized_value(clean, 0.5, 0.5) < scalarized_value(dirty, 0.5, 0.5)
 
     def test_preference_scenarios_exposed(self):
         from coevonet.baselines import SCALARIZED_SCENARIOS
-        assert SCALARIZED_SCENARIOS["efficacy"].theta_e == 0.75
-        assert SCALARIZED_SCENARIOS["efficacy"].theta_c == 0.25
-        assert SCALARIZED_SCENARIOS["balanced"].theta_e == 0.50
-        assert SCALARIZED_SCENARIOS["complexity"].theta_c == 0.75
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ScalarizedConfig(theta_e=-0.1)
+        assert SCALARIZED_SCENARIOS["efficacy"] == (0.75, 0.25)
+        assert SCALARIZED_SCENARIOS["balanced"] == (0.50, 0.50)
+        assert SCALARIZED_SCENARIOS["complexity"] == (0.25, 0.75)

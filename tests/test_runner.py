@@ -16,7 +16,8 @@ def splits():
 
 def _settings(algorithm, **overrides):
     base = dict(algorithm=algorithm, max_evaluations=10, runs=1, master_seed=1, cycles=1,
-                scg_max_iter=10, population=4, reduction_k=3)
+                scg_max_iter=10, population=4, reduction="mrmr", reduction_k=3,
+                scenario="balanced")
     return runner.SearchSettings(**{**base, **overrides})
 
 
@@ -58,6 +59,13 @@ def test_unknown_algorithm():
 def test_settings_reject_empty_searches(overrides):
     with pytest.raises(ValueError):
         _settings("nsga2", **overrides)
+
+
+@pytest.mark.parametrize("algorithm, population",
+                         [("nsga2", 3), ("scalarized", 0), ("topology-only", 5)])
+def test_settings_refuse_a_population_below_2_or_odd(algorithm, population):
+    with pytest.raises(ValueError, match="population must be even and >= 2"):
+        _settings(algorithm, population=population)
 
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "topology-only"])
