@@ -10,7 +10,8 @@ A typical desk-scale session on synthetic data:
 
 ``holdout-eval`` retrains the selection of a run of any ``--algo``: it
 rebuilds the run's evaluation problem from the settings in the merged
-archive's header (a header without them is refused), so a topology-only
+archive's header (a header without them, or whose keys are not this
+version's settings, is refused by name), so a topology-only
 genome is retrained on the same reduced inputs it was searched on. It writes
 each score's per-cycle values (cycle k seeded ``--seed`` + k), their mean and
 their standard deviation. ``select`` and ``export`` copy the architecture
@@ -25,13 +26,16 @@ an identical config reproduces them byte for byte. ``import coevonet`` runs
 BLAS on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` says otherwise (another count may change the last bits
 of matrix products); a ``search`` with ``--cycles`` above 1 uses the cores
-instead. It forks one training worker per usable core when it starts, trains
-a whole batch of candidates' cycles on them and joins them before it exits;
-the artifacts do not depend on how many there are. ``search`` checks its
-settings before any worker forks: an odd ``--population`` for ``nsga2``,
-``--cycles 0`` or a config file's unknown ``scenario`` exits 1 at once. A
-one-cycle ``search``, ``holdout-eval`` and ``baseline`` train in their own
-process. An error in a worker fails the step as it would inline (exit 2).
+instead. It forks one training worker per usable core when it starts, queues
+a whole batch of candidates' cycles on them, collects each candidate's
+cycles in turn on its own thread and joins the workers before it exits; the
+artifacts do not depend on how many there are. ``search`` checks its
+settings, and fits a topology-only search's reduction, before any worker
+forks: an odd ``--population`` for ``nsga2``, ``--cycles 0``, a config
+file's unknown ``scenario`` or a ``--reduction-k`` outside the data's
+columns exits 1 at once. A one-cycle ``search``, ``holdout-eval`` and
+``baseline`` train in their own process. An error in a worker fails the
+step as it would inline (exit 2).
 
 ``ingest`` prints each split's up days (label 1) and their share, and warns
 when a split holds one class only. ``ingest`` and ``search`` read
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -236,8 +241,15 @@ def cmd_holdout_eval(args) -> int:
     if "settings" not in meta:
         raise MarketDataError(f"the merged archive under {args.run} records no search settings; "
                               "rerun `coevonet search`")
+    recorded = meta["settings"].keys()
+    fields = {field.name for field in dataclasses.fields(runner.SearchSettings)}
+    if recorded != fields:
+        raise MarketDataError(
+            f"the merged archive under {args.run} records search settings that this coevonet "
+            f"does not take (unknown: {sorted(recorded - fields)}, missing: "
+            f"{sorted(fields - recorded)}); rerun `coevonet search`")
     settings = runner.SearchSettings(**meta["settings"])
-    problem = runner.make_problem(splits, settings, settings.master_seed)
+    problem = runner.make_problem(splits, settings)(settings.master_seed)
     result = runner.holdout_evaluate_genome(
         record["genome"], problem, args.scg_iters, seed=args.seed, cycles=args.cycles)
     result["config_hash"] = record.get("config_hash", "")

@@ -165,6 +165,10 @@ class PatternSet:
     def n(self) -> int:
         return len(self._labels)
 
+    def inputs(self, columns=None) -> np.ndarray:
+        """The network inputs of these patterns: feature ``columns``, or every column for None."""
+        return self.features if columns is None else self.features[:, columns]
+
     @property
     def n_features(self) -> int:
         return self._features.shape[1]

@@ -20,12 +20,14 @@ order as the allocating path that ``TrainedModel.scores`` uses, so results
 are bit-identical. The buffers belong to one training, so trainings can run
 on several threads at once.
 
-``scg_train`` always runs in the caller's process. Given a pool of worker
-``processes``, only the minimization (``_minimize``) runs in one of them:
-the caller sends the initial weights and the patterns, waits, and builds the
-model from the returned weights. A worker forked from the caller computes
-the same bits, and an exception raised there, a warning turned into an
-error included, surfaces from ``scg_train``.
+A training has a numeric part, ``_minimize`` (the weight init from the
+seed, the one-hot labels and the minimization), which is picklable and so
+can run in a worker process, and ``scg_train``, which builds the model and
+always runs in the caller's process. Given ``minimized``, the future of
+``_minimize`` on the same arguments, ``scg_train`` takes its result instead
+of minimizing. A worker forked from the caller computes the same bits, and
+an exception raised there, a warning turned into an error included,
+surfaces from ``scg_train``.
 """
 
 from __future__ import annotations
@@ -298,36 +300,35 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
     return theta, f, iters, False
 
 
-def _minimize(theta0, sizes, activations, x, y_onehot, max_iter: int):
-    """``_scg_minimize`` of the cross-entropy on these patterns; picklable for a worker."""
-    return _scg_minimize(theta0, _CrossEntropy(sizes, activations, x, y_onehot), max_iter)
-
-
-def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
-              max_iter: int, seed: int, processes=None) -> TrainedModel:
-    """Train on patterns whose columns are already restricted to the model inputs.
-
-    The minimization runs on ``processes``, an executor of worker processes, if given.
-    """
+def _minimize(topology: Topology, x: np.ndarray, y: np.ndarray, max_iter: int, seed: int):
+    """The numeric part of a training, (theta, loss, iters, aborted); picklable for a worker."""
     if max_iter < 0:
         raise ValueError(f"SCG max_iter {max_iter} must be non-negative")
     if x.shape[0] == 0:
         raise ValueError("empty training set")
-    n_inputs = x.shape[1]
-    sizes = _layer_sizes(topology, n_inputs)
-    activations = tuple(a for _, a in topology.active_layers)
     y_onehot = np.zeros((len(y), N_CLASSES))
     y_onehot[:, 0] = y == 1
     y_onehot[:, 1] = y == 0
-    job = (_flatten(init_weights(topology, n_inputs, seed)), sizes, activations, x, y_onehot,
-           max_iter)
-    theta, loss, iters, aborted = (_minimize(*job) if processes is None
-                                   else processes.submit(_minimize, *job).result())
+    sizes = _layer_sizes(topology, x.shape[1])
+    objective = _CrossEntropy(sizes, tuple(a for _, a in topology.active_layers), x, y_onehot)
+    theta0 = _flatten(init_weights(topology, x.shape[1], seed))
+    return _scg_minimize(theta0, objective, max_iter)
+
+
+def scg_train(topology: Topology, x: np.ndarray, y: np.ndarray,
+              max_iter: int, seed: int, minimized=None) -> TrainedModel:
+    """Train on patterns whose columns are already restricted to the model inputs.
+
+    ``minimized``, if given, is the future of ``_minimize`` on these same
+    arguments, started earlier; its result replaces the minimization.
+    """
+    theta, loss, iters, aborted = (_minimize(topology, x, y, max_iter, seed) if minimized is None
+                                   else minimized.result())
     if aborted:
         logger.warning("SCG aborted on non-finite loss (topology %s)", topology.describe())
     return TrainedModel(
         topology=topology,
-        params=_unflatten(theta, sizes),
+        params=_unflatten(theta, _layer_sizes(topology, x.shape[1])),
         final_loss=loss,
         iterations=iters,
         aborted=aborted,

@@ -8,16 +8,15 @@ cycle k of genome g is seeded by hash(master_seed, bits, k), so re-evaluation
 is reproducible and results can be cached by bit string (the genome itself).
 
 Evaluation has one path: queue, then collect. ``start`` takes a batch of
-genomes and queues every cycle of every fresh one; ``evaluate`` runs once
-per genome, in the caller's order, on the caller's thread, starts the
-genome if nothing did, and collects its cycles' score rows in cycle order.
-With ``TrainingWorkers`` a queued cycle is already running: a waiting
-thread calls ``neural.scg_train`` with the worker processes, which run its
-minimization, and scores the model in this process, and collecting waits
-for it. Without workers a queued cycle is a pending call, which collecting
-makes on the calling thread. Each cycle's seed depends only on (master
-seed, bits, k), so a record does not depend on the workers or the core
-count, and the cache and the FE count behave the same.
+genomes and decodes each fresh one once; given the worker processes of
+``training_workers``, it also queues every cycle of the genome on them, as a
+future of its minimization. ``evaluate`` runs once per genome, in the
+caller's order, on the caller's thread: it starts the genome if nothing did,
+then collects its cycles in cycle order through ``neural.scg_train``, which
+takes a cycle's future or, without workers, trains inline, and scores each
+model in this process. Each cycle's seed depends only on (master seed, bits,
+k), so a record does not depend on the workers or the core count, and the
+cache and the FE count behave the same.
 
 The scalarized single-objective variant combines overall test error and
 complexity under the preference weights ``theta_e`` and ``theta_c``, plus a
@@ -28,14 +27,13 @@ pre-regime error, at the thresholds ``EPS_TEST_MCC``, ``EPS_PR_MCC`` and
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import functools
 import hashlib
 import logging
 import os
 import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +87,7 @@ _ABORTED_CYCLE = (0.0, -1.0, 1.0, 0.0, -1.0, 1.0)
 
 def split_scores(model, patterns: PatternSet, columns) -> tuple[float, float, float]:
     """(accuracy, mcc, balanced_error) on one pattern set; ``columns`` None feeds all."""
-    x = patterns.features[:, columns] if columns is not None else patterns.features
-    c = neural.confusion(neural.predict(model, x), patterns.labels)
+    c = neural.confusion(neural.predict(model, patterns.inputs(columns)), patterns.labels)
     return neural.accuracy(c), neural.mcc(c), neural.balanced_error(c)
 
 
@@ -120,52 +117,32 @@ def _end_with_parent(parent_pid: int) -> None:
         os._exit(1)     # could not tie this worker to its parent, or the parent is gone
 
 
-class TrainingWorkers:
-    """Worker processes that train cycles, and the threads that wait on them.
+@contextlib.contextmanager
+def training_workers():
+    """A pool of worker processes, one per usable core, that minimizes cycles.
 
-    Creating it forks one process per usable core, before any thread exists
-    to wait on one; a forked worker inherits the loaded program, its data
-    and the caller's warning filters. Its threads call ``neural.scg_train``
-    with ``processes``, so the process that owns them still makes every
-    ``scg_train`` call. ``close`` (or leaving the ``with`` block) cancels
-    what has not started and joins every process and thread. On Linux a
-    worker also ends when the thread that created this object does, so
-    create it on the thread that uses it.
+    Entering forks every worker at once; a forked worker inherits the loaded
+    program, its data and the caller's warning filters. Leaving the ``with``
+    block cancels what has not started and joins every worker. On Linux a
+    worker also ends when the thread that entered the block does, so enter
+    it on the thread that uses it.
     """
+    # imported here: they add ~16 ms and 2 MB to every step that forks no worker
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self):
-        # imported here: they add ~16 ms and 2 MB to every step that forks no worker
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(usable_cores(), mp_context=multiprocessing.get_context("fork"),
+                               initializer=_end_with_parent, initargs=(os.getpid(),))
+    try:
+        pool.submit(int).result()    # a fork pool forks every worker at once
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-        cores = usable_cores()
-        self.processes = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
-                                             initializer=_end_with_parent,
-                                             initargs=(os.getpid(),))
-        try:
-            self.processes.submit(int).result()    # a fork pool forks every worker at once
-        except BaseException:
-            self.processes.shutdown()
-            raise
-        # two waiting threads per worker keep a next training queued
-        self._waiters = ThreadPoolExecutor(2 * cores, thread_name_prefix="coevonet-train")
 
-    def submit(self, fn, *args):
-        """Run ``fn(*args)`` on a waiting thread; returns its future."""
-        return self._waiters.submit(fn, *args)
-
-    def close(self) -> None:
-        # drop queued cycles first, so that no waiting thread sends one after
-        # the processes are gone
-        self._waiters.shutdown(wait=False, cancel_futures=True)
-        self.processes.shutdown(cancel_futures=True)
-        self._waiters.shutdown()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+def _minimize_cycle(topology, d_train: PatternSet, columns, max_iter: int, seed: int):
+    """``neural._minimize`` of one cycle, slicing its inputs where it runs; picklable."""
+    return neural._minimize(topology, d_train.inputs(columns), d_train.labels, max_iter, seed)
 
 
 def _record(c: float, rows) -> EvalRecord:
@@ -184,10 +161,13 @@ def _record(c: float, rows) -> EvalRecord:
 
 class _EvaluationProblem:
     """Shared machinery: bitstring cache, FE accounting, and the loop of a
-    genome's ``cycles`` trainings of ``max_iter`` SCG iterations each."""
+    genome's ``cycles`` trainings of ``max_iter`` SCG iterations each.
+
+    ``workers``, the pool of ``training_workers``, minimizes the cycles when given.
+    """
 
     def __init__(self, splits: DatasetSplits, cycles: int, max_iter: int, master_seed: int,
-                 workers: TrainingWorkers | None = None):
+                 workers=None):
         self.splits = splits
         self.cycles = cycles
         self.max_iter = max_iter
@@ -196,7 +176,8 @@ class _EvaluationProblem:
         self.fe_count = 0
         self.cache_hits = 0
         self._workers = workers
-        self._started: dict[str, tuple] = {}    # bits -> (complexity, calls giving cycle rows)
+        # bits -> (columns, complexity, topology, [(seed, future or None) per cycle])
+        self._started: dict[str, tuple] = {}
 
     # subclasses define n_features (the data columns that complexity charges
     # against), n_bits, repair(bits, rng) and decode(bits_str), which returns
@@ -214,57 +195,48 @@ class _EvaluationProblem:
                 "layers": [[size, act.value] for size, act in topology.layers]}
 
     def start(self, genomes) -> None:
-        """Queue every cycle of the fresh genomes among ``genomes`` (bit strings).
+        """Decode the fresh genomes among ``genomes`` (bit strings), once each.
 
-        Each cycle is recorded as the call that gives its score row: the
-        result of a future on the workers, or the pending training itself.
+        With workers, every cycle of such a genome is queued on them, as a
+        future of ``_minimize_cycle``; the worker slices the training inputs,
+        so a queue of many genomes holds no copies of the training matrix.
         """
         for bits_str in genomes:
-            if bits_str not in self.cache and bits_str not in self._started:
-                c, one_cycle = self._cycle_trainer(bits_str)
-                ks = range(1, self.cycles + 1)
-                self._started[bits_str] = c, (
-                    [functools.partial(one_cycle, k) for k in ks] if self._workers is None
-                    else [self._workers.submit(one_cycle, k, self._workers.processes).result
-                          for k in ks])
+            if bits_str in self.cache or bits_str in self._started:
+                continue
+            columns, n_inputs, topology = self.decode(bits_str)
+            seeds = [cycle_seed(self.master_seed, bits_str, k) for k in range(1, self.cycles + 1)]
+            futures = [None] * self.cycles if self._workers is None else [
+                self._workers.submit(_minimize_cycle, topology, self.splits.d_train, columns,
+                                     self.max_iter, seed) for seed in seeds]
+            c = genome_mod.complexity_of(n_inputs, topology, self.n_features)
+            self._started[bits_str] = columns, c, topology, list(zip(seeds, futures))
 
     def evaluate(self, bits_str: str) -> EvalRecord:
+        """The genome's record; a cycle's row is ``split_scores`` on d_test, then on d_pr."""
         hit = self.cache.get(bits_str)
         if hit is not None:
             self.cache_hits += 1
             return hit
         self.start([bits_str])
-        c, calls = self._started.pop(bits_str)
-        record = _record(c, [call() for call in calls])
-        self.fe_count += 1
-        self.cache[bits_str] = record
-        return record
-
-    def _cycle_trainer(self, bits_str: str):
-        """The genome's complexity, and the function that trains and scores its cycle k.
-
-        The function trains on the worker ``processes`` it is given, else
-        inline. A cycle's row is ``split_scores`` on d_test, then on d_pr. The
-        cycle slices its training inputs when it runs, so a queue of many
-        genomes holds no copies of the training matrix.
-        """
-        columns, n_selected, topology = self.decode(bits_str)
-        c = genome_mod.complexity_of(n_selected, topology, self.n_features)
-
-        def one_cycle(k, processes=None):
-            train = self.splits.d_train
-            x_train = train.features[:, columns] if columns is not None else train.features
-            seed = cycle_seed(self.master_seed, bits_str, k)
+        columns, c, topology, cycles = self._started.pop(bits_str)
+        train = self.splits.d_train
+        x_train = train.inputs(columns)
+        rows = []
+        for k, (seed, minimized) in enumerate(cycles, start=1):
             model = neural.scg_train(topology, x_train, train.labels, self.max_iter, seed,
-                                     processes=processes)
+                                     minimized=minimized)
             if model.aborted:
                 logger.warning("cycle %d aborted for genome %s; worst-case errors assigned",
                                k, bits_str[:16])
-                return _ABORTED_CYCLE
-            return (split_scores(model, self.splits.d_test, columns)
-                    + split_scores(model, self.splits.d_pr, columns))
-
-        return c, one_cycle
+                rows.append(_ABORTED_CYCLE)
+            else:
+                rows.append(split_scores(model, self.splits.d_test, columns)
+                            + split_scores(model, self.splits.d_pr, columns))
+        record = _record(c, rows)
+        self.fe_count += 1
+        self.cache[bits_str] = record
+        return record
 
 
 class CoevolutionProblem(_EvaluationProblem):
@@ -297,7 +269,7 @@ class TopologyOnlyProblem(_EvaluationProblem):
     n_bits = TOPOLOGY_BITS
 
     def __init__(self, splits: DatasetSplits, n_features: int, cycles: int, max_iter: int,
-                 master_seed: int, workers: TrainingWorkers | None = None):
+                 master_seed: int, workers=None):
         super().__init__(splits, cycles, max_iter, master_seed, workers)
         self.n_features = n_features
 

@@ -22,6 +22,7 @@ contain no wall-clock values; timing lives in a sidecar ``timing.json``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -37,7 +38,7 @@ from .market_data import DatasetSplits
 from .moea import ParetoArchive, merge_archives
 from .neural import ActivationKind, Topology
 from .objectives import (SCORE_NAMES, CoevolutionProblem, ObjectiveVector, TopologyOnlyProblem,
-                         TrainingWorkers, split_scores)
+                         split_scores, training_workers)
 
 logger = logging.getLogger(__name__)
 
@@ -126,29 +127,28 @@ class SearchSettings:
         return dict(self.__dict__)
 
 
-def make_problem(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
-                 workers: TrainingWorkers | None = None):
-    """The evaluation problem of one run, the one owner of what its genomes mean.
+def make_problem(splits: DatasetSplits, settings: SearchSettings):
+    """The function that builds each run's evaluation problem from ``(run_seed, workers=None)``.
 
-    Topology-only runs fit the a-priori reduction on the training split and
-    search topologies over the reduced splits, charging complexity against the
-    column count of ``splits``; every other algorithm searches the full
-    co-evolution genome, one feature bit per column. ``workers``, when given,
-    train its cycles.
+    The problem is the one owner of what a run's genomes mean. Topology-only
+    runs search topologies over the splits reduced a priori, charging
+    complexity against the column count of ``splits``; the reduction is
+    fitted here, once, on the training split, since it does not depend on
+    the run seed. Every other algorithm searches the full co-evolution
+    genome, one feature bit per column. ``workers``, when given, minimize a
+    problem's cycles.
     """
-    training = (settings.cycles, settings.scg_max_iter, run_seed)
+    training = (settings.cycles, settings.scg_max_iter)
     if settings.algorithm == "topology-only":
         reduction = baselines.fit_reduction(settings.reduction, splits.d_train,
                                             settings.reduction_k)
-        return TopologyOnlyProblem(baselines.reduce_splits(splits, reduction),
-                                   splits.d_train.n_features, *training, workers=workers)
-    return CoevolutionProblem(splits, *training, workers=workers)
+        return functools.partial(TopologyOnlyProblem, baselines.reduce_splits(splits, reduction),
+                                 splits.d_train.n_features, *training)
+    return functools.partial(CoevolutionProblem, splits, *training)
 
 
-def run_single_seed(splits: DatasetSplits, settings: SearchSettings, run_seed: int,
-                    workers: TrainingWorkers | None = None):
-    """One search run; returns (archive, generation stats, problem)."""
-    problem = make_problem(splits, settings, run_seed, workers)
+def run_single_seed(problem, settings: SearchSettings, run_seed: int):
+    """One search run on a problem ``make_problem`` built; returns (archive, generation stats)."""
     engine = dict(population=settings.population,
                   max_evaluations=settings.max_evaluations, seed=run_seed)
     algo = settings.algorithm
@@ -161,14 +161,17 @@ def run_single_seed(splits: DatasetSplits, settings: SearchSettings, run_seed: i
         archive, stats = moea.random_search_run(problem, settings.max_evaluations, run_seed), []
     else:   # nsga2, and topology-only over its reduced inputs
         archive, stats = moea.nsga2_run(problem, **engine)
-    return archive, stats, problem
+    return archive, stats
 
 
 def run_search_protocol(splits: DatasetSplits, settings: SearchSettings,
                         out_dir=None) -> tuple[ParetoArchive, dict]:
     """Run seeds master_seed+1 .. master_seed+runs and merge the archives.
 
-    With more than one cycle, the runs share one ``TrainingWorkers``, forked
+    The runs' problems come from one ``make_problem``, called before any
+    worker forks, so a topology-only search fits its reduction once and a
+    reduction the data refuses fails before the fork. With more than one
+    cycle, the runs then share one pool of ``training_workers``, forked
     before the first run and joined after the last; a single cycle trains
     inline, where a worker's round trip would cost more than it saves.
     """
@@ -176,13 +179,15 @@ def run_search_protocol(splits: DatasetSplits, settings: SearchSettings,
     meta = {"config_hash": cfg_hash, "master_seed": settings.master_seed,
             "algorithm": settings.algorithm, "settings": settings.to_dict()}
     out = Path(out_dir) if out_dir is not None else None
+    new_problem = make_problem(splits, settings)
     per_run = []
     timing = {}
-    with TrainingWorkers() if settings.cycles > 1 else contextlib.nullcontext() as workers:
+    with training_workers() if settings.cycles > 1 else contextlib.nullcontext() as workers:
         for run in range(1, settings.runs + 1):
             run_seed = settings.master_seed + run
             started = time.perf_counter()
-            archive, stats, problem = run_single_seed(splits, settings, run_seed, workers)
+            problem = new_problem(run_seed, workers)
+            archive, stats = run_single_seed(problem, settings, run_seed)
             timing[f"seed-{run}"] = time.perf_counter() - started
             per_run.append(archive)
             logger.info("%s seed %d: archive %d, FE %d (+%d cached)",
@@ -235,15 +240,14 @@ def record_topology(architecture: dict) -> Topology:
 def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits,
                       max_iter: int, seed: int) -> neural.TrainedModel:
     train = splits.d_train
-    x = train.features[:, list(feature_indices)] if feature_indices is not None else train.features
-    return neural.scg_train(topology, x, train.labels, max_iter, seed)
+    return neural.scg_train(topology, train.inputs(feature_indices), train.labels, max_iter, seed)
 
 
 def holdout_evaluate_genome(bits: str, problem, max_iter: int, seed: int,
                             cycles: int = 1) -> dict:
     """Retrain the selected architecture at final quality; report hold-out metrics.
 
-    ``problem`` is the run's evaluation problem (see ``make_problem``): it
+    ``problem`` is a run's evaluation problem (see ``make_problem``): it
     decodes and describes the genome and holds the splits the search trained
     on; a topology-only architecture reads every reduced input. Cycle k trains
     with seed ``seed + k``. Each score is reported as its mean over the

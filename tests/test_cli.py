@@ -261,7 +261,13 @@ def test_eagd_population_0_exits_1(sessions, tmp_path, capsys, monkeypatch):
      "unknown scenario 'bogus'"),
     (["--algo", "topology-only", "--cycles", "2"], {"reduction": "lasso"},
      "unknown reduction 'lasso'"),
-], ids=["odd-population", "cycles-0", "config-scenario", "config-reduction"])
+    # the bound depends on the data: the reduction is fitted before any worker forks
+    (["--algo", "topology-only", "--reduction-k", "0", "--cycles", "2"], None,
+     "k=0 outside [1, 68]"),
+    (["--algo", "topology-only", "--reduction-k", "69", "--cycles", "2"], None,
+     "k=69 outside [1, 68]"),
+], ids=["odd-population", "cycles-0", "config-scenario", "config-reduction", "reduction-k-0",
+        "reduction-k-above-width"])
 def test_search_setting_no_run_could_use_exits_1_before_forking(
         sessions, tmp_path, capsys, monkeypatch, flags, config, message):
     forks = _count_forks(monkeypatch)
@@ -285,19 +291,39 @@ def test_search_population_the_engine_accepts_runs(sessions, tmp_path, flags):
     assert (tmp_path / "merged" / "archive.jsonl").exists()
 
 
-def test_holdout_eval_of_an_archive_without_settings_names_it(sessions, tmp_path, capsys):
+def _refused_holdout_eval(sessions, tmp_path, edit_header) -> Path:
+    """A copy of the session's run whose merged header ``edit_header`` changed in place;
+    ``holdout-eval`` of it must exit 1 and leave its hold-out record as it was."""
     run = tmp_path / "run"
     shutil.copytree(sessions[0] / "run", run)
     merged = run / "merged" / "archive.jsonl"
     rows = _jsonl(merged)
-    del rows[0]["settings"]
+    edit_header(rows[0])
     merged.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     record = (run / "holdout" / "O2.json").read_bytes()
     assert cli.main(["holdout-eval", "--data", str(sessions[0] / "data"), "--run", str(run),
                      "--preset", "O2", "--scg-iters", "5"]) == 1
+    assert (run / "holdout" / "O2.json").read_bytes() == record
+    return run
+
+
+def test_holdout_eval_of_an_archive_without_settings_names_it(sessions, tmp_path, capsys):
+    run = _refused_holdout_eval(sessions, tmp_path, lambda header: header.pop("settings"))
     assert (f"the merged archive under {run} records no search settings"
             in capsys.readouterr().err)
-    assert (run / "holdout" / "O2.json").read_bytes() == record
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda settings: settings.update(learning_generations=8),
+     "unknown: ['learning_generations'], missing: []"),
+    (lambda settings: settings.pop("cycles"), "unknown: [], missing: ['cycles']"),
+], ids=["unknown-key", "missing-key"])
+def test_holdout_eval_of_settings_this_version_does_not_take_names_them(
+        sessions, tmp_path, capsys, edit, named):
+    run = _refused_holdout_eval(sessions, tmp_path, lambda header: edit(header["settings"]))
+    err = capsys.readouterr().err
+    assert f"the merged archive under {run} records search settings" in err
+    assert named in err
 
 
 @pytest.mark.parametrize("step", ["search", "baseline", "holdout-eval"])

@@ -16,8 +16,8 @@ from coevonet.genome import encode, Architecture
 from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
-    CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, TrainingWorkers,
-    cycle_seed, penalty, scalarized_value, split_scores,
+    CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, cycle_seed, penalty,
+    scalarized_value, split_scores, training_workers,
 )
 
 TANH = ActivationKind.TANH
@@ -100,7 +100,7 @@ class TestEvaluate:
         assert (problem.fe_count, problem.cache_hits) == (1, 1)
 
     def test_aborted_cycle_scores_worst_case(self, splits, monkeypatch):
-        def fake_train(topology, x, y, max_iter, seed, processes=None):
+        def fake_train(topology, x, y, max_iter, seed, minimized=None):
             return neural.TrainedModel(topology, [], float("nan"), 0, aborted=True)
 
         monkeypatch.setattr(neural, "scg_train", fake_train)
@@ -176,20 +176,26 @@ class TestConcurrentCycles:
         problem.evaluate(genomes[1])
         assert threads == [threading.get_ident()] * 2
 
-    def test_queued_genomes_hold_no_copy_of_the_training_matrix(self):
+    @pytest.mark.parametrize("in_workers, bound", [(False, 1), (True, 4)],
+                             ids=["inline", "workers"])
+    def test_queued_genomes_hold_no_copy_of_the_training_matrix(self, in_workers, bound):
+        # the bound, in training matrices, holds for any queue length: with
+        # workers, one queued cycle at a time is pickled whole on its way to them
         splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
-        problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0)
         rng = np.random.default_rng(0)
-        genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            problem.start(genomes[:200])
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        with training_workers() if in_workers else contextlib.nullcontext() as workers:
+            problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0,
+                                         workers=workers)
+            genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                problem.start(genomes[:200])
+                grown = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
         assert len(problem._started) == 200
-        assert grown < splits.d_train.features.nbytes
+        assert grown < bound * splits.d_train.features.nbytes
 
     def test_concurrent_trainings_equal_their_serial_twins(self, splits):
         # same shapes on purpose: buffers shared by shape would mix the runs
@@ -223,7 +229,7 @@ class TestTrainingWorkers:
     def test_started_batch_records_equal_inline_records(self, splits):
         cfg = dict(cycles=3, max_iter=FAST, master_seed=9)
         inline = CoevolutionProblem(splits, **cfg)
-        with TrainingWorkers() as workers:
+        with training_workers() as workers:
             pooled = CoevolutionProblem(splits, **cfg, workers=workers)
             pooled.start(self.GENOMES)
             records = [pooled.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
@@ -231,20 +237,20 @@ class TestTrainingWorkers:
         assert (pooled.fe_count, pooled.cache_hits) == (3, 3)
 
     def test_every_cycle_calls_scg_train_in_this_process(self, splits, monkeypatch):
-        pids = []
+        callers = []    # (process, thread) of every scg_train call
         train = neural.scg_train
 
         def counted(*args, **kwargs):
-            pids.append(os.getpid())
+            callers.append((os.getpid(), threading.get_ident()))
             return train(*args, **kwargs)
 
         monkeypatch.setattr(neural, "scg_train", counted)
-        with TrainingWorkers() as workers:
+        with training_workers() as workers:
             problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0,
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
             moea._evaluate_batch(problem, self.GENOMES, cap=10)
-        assert pids == [os.getpid()] * (2 * len(self.GENOMES))
+        assert callers == [(os.getpid(), threading.get_ident())] * (2 * len(self.GENOMES))
 
     @pytest.mark.parametrize("in_workers", [False, True], ids=["inline", "workers"])
     def test_an_error_in_training_reaches_the_caller(self, splits, in_workers):
@@ -255,7 +261,7 @@ class TestTrainingWorkers:
         cfg = dict(cycles=2, max_iter=FAST, master_seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
-            with TrainingWorkers() if in_workers else contextlib.nullcontext() as workers:
+            with training_workers() if in_workers else contextlib.nullcontext() as workers:
                 problem = CoevolutionProblem(huge, **cfg, workers=workers)
                 with pytest.raises(RuntimeWarning, match="overflow encountered"):
                     problem.evaluate(genome_for([0, 1]))

@@ -21,9 +21,15 @@ def _settings(algorithm, **overrides):
     return runner.SearchSettings(**{**base, **overrides})
 
 
+def _run(splits, settings, run_seed=3):
+    """(archive, generation stats, problem) of one run of ``settings``."""
+    problem = runner.make_problem(splits, settings)(run_seed)
+    return (*runner.run_single_seed(problem, settings, run_seed), problem)
+
+
 def test_archive_jsonl_round_trip(splits, tmp_path):
     for algorithm in ("nsga2", "topology-only"):
-        archive, _, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
+        archive, _, problem = _run(splits, _settings(algorithm))
         path = tmp_path / algorithm / "archive.jsonl"
         runner.write_archive_jsonl(archive, path, {"config_hash": "abc"}, problem)
         loaded, meta, architectures = runner.read_archive_jsonl(path)
@@ -34,7 +40,7 @@ def test_archive_jsonl_round_trip(splits, tmp_path):
 
 @pytest.mark.parametrize("algorithm", runner.ALGORITHMS)
 def test_every_algorithm_runs_within_budget(splits, algorithm):
-    archive, stats, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
+    archive, stats, problem = _run(splits, _settings(algorithm))
     assert len(archive) >= 1
     assert is_dominance_fixed_point(archive)
     assert problem.fe_count <= 10
@@ -44,8 +50,7 @@ def test_every_algorithm_runs_within_budget(splits, algorithm):
 
 @pytest.mark.parametrize("reduction", baselines.REDUCTIONS)
 def test_topology_only_uses_the_named_reduction(splits, reduction):
-    _, _, problem = runner.run_single_seed(
-        splits, _settings("topology-only", reduction=reduction), 3)
+    _, _, problem = _run(splits, _settings("topology-only", reduction=reduction))
     expected = baselines.fit_reduction(reduction, splits.d_train, 3).n_retained
     assert problem.splits.d_train.n_features == expected
 
@@ -70,7 +75,7 @@ def test_settings_refuse_a_population_below_2_or_odd(algorithm, population):
 
 @pytest.mark.parametrize("algorithm", ["nsga2", "topology-only"])
 def test_holdout_decodes_through_the_run_problem(splits, algorithm):
-    archive, _, problem = runner.run_single_seed(splits, _settings(algorithm), 3)
+    archive, _, problem = _run(splits, _settings(algorithm))
     bits = archive.members()[0][0]
     result = runner.holdout_evaluate_genome(bits, problem, 10, seed=1, cycles=2)
     assert result["genome"] == bits and result["cycles"] == 2
@@ -78,7 +83,7 @@ def test_holdout_decodes_through_the_run_problem(splits, algorithm):
 
 
 def test_holdout_reports_every_cycle_and_the_spread(splits):
-    archive, _, problem = runner.run_single_seed(splits, _settings("nsga2"), 3)
+    archive, _, problem = _run(splits, _settings("nsga2"))
     bits = archive.members()[0][0]
     result = runner.holdout_evaluate_genome(bits, problem, 10, seed=4, cycles=3)
     for k in range(3):
@@ -100,3 +105,16 @@ def test_protocol_merges_runs_and_writes_artifacts(splits, tmp_path):
                for k in (1, 2)]
     assert merged.members() == merge_archives(per_run).members()
     assert set(json.loads((tmp_path / "timing.json").read_text())) == {"seed-1", "seed-2"}
+
+
+def test_two_run_topology_only_search_fits_its_reduction_once(splits, monkeypatch):
+    fits = []
+    fit = baselines.fit_reduction
+
+    def counted(*args, **kwargs):
+        fits.append(args[0])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_reduction", counted)
+    runner.run_search_protocol(splits, _settings("topology-only", runs=2))
+    assert fits == ["mrmr"]

@@ -1,14 +1,16 @@
 """The benchmark's traced counts reconcile with what a session did.
 
 ``perfbench/tracer.py`` wraps the program's public functions in the step's
-own process and keeps one span stack for all threads; ``perfbench/layers.py``
-turns the spans into per-layer counts. This runs a tiny session with two
-training cycles (so a genome's cycles train on the pool) under the tracer
-and checks the counts the benchmark reconciles: every training goes through
-``neural.scg_train`` once, every evaluation is a fresh FE or a cache hit, and
-the baseline's rule trainings are told apart from the hold-out's. The
-benchmark's own rule-of-thumb formulas agree with the program's over a grid
-of input and training-pattern counts.
+own process and keeps one span stack; ``perfbench/layers.py`` turns the
+spans into per-layer counts. This runs a tiny session with two training
+cycles (so a genome's cycles are minimized on the worker processes) under
+the tracer and checks the counts the benchmark reconciles: every training
+goes through ``neural.scg_train`` once, on the thread of the span that asked
+for it, so a search training's parent is ``objectives.evaluate`` and a
+hold-out training's is ``runner.holdout``; every evaluation is a fresh FE or
+a cache hit; and the baseline's rule trainings are told apart from the
+hold-out's. The benchmark's own rule-of-thumb formulas agree with the
+program's over a grid of input and training-pattern counts.
 """
 
 import os
@@ -68,6 +70,14 @@ def test_trainings_reconcile_with_fe_holdout_and_rules(traced):
     _, m, rules, _ = traced
     assert rules > 0 and m["objectives.fe"] > 0
     assert m["neural.scg_train_calls"] == CYCLES * m["objectives.fe"] + HOLDOUT_CYCLES + rules
+
+
+def test_every_training_nests_in_the_span_that_asked_for_it(traced):
+    totals, m, _, _ = traced
+    assert (totals.child_calls[("objectives.evaluate", "neural.scg_train")]
+            == CYCLES * m["objectives.fe"])
+    assert totals.child_calls[("runner.holdout", "runner.train_final_model")] == HOLDOUT_CYCLES
+    assert m["objectives.evaluate_self_s"] >= 0
 
 
 def test_evaluations_are_fresh_or_cache_hits(traced):
