@@ -25,17 +25,18 @@ artifacts embed the config hash and master seed; rerunning a subcommand with
 an identical config reproduces them byte for byte. ``import coevonet`` runs
 BLAS on one thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` says otherwise (another count may change the last bits
-of matrix products); a ``search`` with ``--cycles`` above 1 uses the cores
-instead. It forks one training worker per usable core when it starts, queues
-a whole batch of candidates' cycles on them, collects each candidate's
-cycles in turn on its own thread and joins the workers before it exits; the
-artifacts do not depend on how many there are. ``search`` checks its
-settings, and fits a topology-only search's reduction, before any worker
-forks: an odd ``--population`` for ``nsga2``, ``--cycles 0``, a config
-file's unknown ``scenario`` or a ``--reduction-k`` outside the data's
-columns exits 1 at once. A one-cycle ``search``, ``holdout-eval`` and
-``baseline`` train in their own process. An error in a worker fails the
-step as it would inline (exit 2).
+of matrix products); a step with several trainings uses the cores instead.
+Every step trains on one path: ``baseline`` (one network per rule of
+thumb), and ``holdout-eval`` and ``search`` with ``--cycles`` above 1, fork
+one training worker per usable core, queue their trainings on them, collect
+each in turn on the step's own thread and join the workers before they
+exit; the artifacts do not depend on how many there are. A one-cycle step
+trains in its own process (the measured reason is in
+``objectives.training_workers``). Each step checks its settings, and fits its
+reduction, before any worker forks: an odd ``--population`` for ``nsga2``,
+``--cycles 0``, ``--scg-iters -1``, ``baseline --k 0``, a config file's
+unknown ``scenario`` or a ``--reduction-k`` outside the data's columns exits
+1 at once. An error in a worker fails the step as it would inline (exit 2).
 
 ``ingest`` prints each split's up days (label 1) and their share, and warns
 when a split holds one class only. ``ingest`` and ``search`` read
@@ -268,11 +269,14 @@ def cmd_baseline(args) -> int:
     reduction = baselines.fit_reduction(args.method, splits.d_train, args.k, args.variance)
     reduced = baselines.reduce_splits(splits, reduction)
     d = reduced.d_train.n_features
+    sizes = [baselines.rule_of_thumb(rule, d, N_CLASSES, reduced.d_train.n)
+             for rule in baselines.RULES]
+    topologies = [Topology(((s1, ActivationKind.TANH), (s2, ActivationKind.TANH)))
+                  for s1, s2 in sizes]
+    models = runner.train_final_models([(topology, None, args.seed) for topology in topologies],
+                                       reduced, args.scg_iters)
     rows = []
-    for rule in baselines.RULES:
-        s1, s2 = baselines.rule_of_thumb(rule, d, N_CLASSES, reduced.d_train.n)
-        topology = Topology(((s1, ActivationKind.TANH), (s2, ActivationKind.TANH)))
-        model = runner.train_final_model(topology, None, reduced, args.scg_iters, args.seed)
+    for rule, (s1, s2), topology, model in zip(baselines.RULES, sizes, topologies, models):
         row = {"rule": rule, "s1": s1, "s2": s2,
                "complexity": complexity_of(d, topology, splits.d_train.n_features)}
         for split_name in ("test", "pr"):

@@ -27,7 +27,10 @@ always runs in the caller's process. Given ``minimized``, the future of
 ``_minimize`` on the same arguments, ``scg_train`` takes its result instead
 of minimizing. A worker forked from the caller computes the same bits, and
 an exception raised there, a warning turned into an error included,
-surfaces from ``scg_train``.
+surfaces from ``scg_train``. Every step trains on this one path, forking
+workers only when it has several trainings to run (see
+``objectives.training_workers``); it checks the budget with
+``check_max_iter`` before the fork.
 """
 
 from __future__ import annotations
@@ -300,10 +303,15 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
     return theta, f, iters, False
 
 
-def _minimize(topology: Topology, x: np.ndarray, y: np.ndarray, max_iter: int, seed: int):
-    """The numeric part of a training, (theta, loss, iters, aborted); picklable for a worker."""
+def check_max_iter(max_iter: int) -> None:
+    """Refuse an SCG budget below 0 iterations (``ValueError``)."""
     if max_iter < 0:
         raise ValueError(f"SCG max_iter {max_iter} must be non-negative")
+
+
+def _minimize(topology: Topology, x: np.ndarray, y: np.ndarray, max_iter: int, seed: int):
+    """The numeric part of a training, (theta, loss, iters, aborted); picklable for a worker."""
+    check_max_iter(max_iter)
     if x.shape[0] == 0:
         raise ValueError("empty training set")
     y_onehot = np.zeros((len(y), N_CLASSES))

@@ -21,7 +21,7 @@ contain no wall-clock values; timing lives in a sidecar ``timing.json``.
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -38,7 +38,7 @@ from .market_data import DatasetSplits
 from .moea import ParetoArchive, merge_archives
 from .neural import ActivationKind, Topology
 from .objectives import (SCORE_NAMES, CoevolutionProblem, ObjectiveVector, TopologyOnlyProblem,
-                         split_scores, training_workers)
+                         queue_trainings, split_scores, training_workers)
 
 logger = logging.getLogger(__name__)
 
@@ -101,6 +101,11 @@ class SearchSettings:
     scenario: str           # scalarized preset weights
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), {"int": int, "str": str}[field.type]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"search setting {field.name} must be {kind.__name__}, "
+                                 f"got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.reduction not in baselines.REDUCTIONS:
@@ -115,8 +120,7 @@ class SearchSettings:
             raise ValueError(f"runs {self.runs} must be >= 1")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if self.scg_max_iter < 0:
-            raise ValueError(f"SCG max_iter {self.scg_max_iter} must be non-negative")
+        neural.check_max_iter(self.scg_max_iter)
         even = self.population >= 2 and self.population % 2 == 0
         if self.algorithm in ("nsga2", "scalarized", "topology-only") and not even:
             raise ValueError("population must be even and >= 2")
@@ -170,10 +174,9 @@ def run_search_protocol(splits: DatasetSplits, settings: SearchSettings,
 
     The runs' problems come from one ``make_problem``, called before any
     worker forks, so a topology-only search fits its reduction once and a
-    reduction the data refuses fails before the fork. With more than one
-    cycle, the runs then share one pool of ``training_workers``, forked
-    before the first run and joined after the last; a single cycle trains
-    inline, where a worker's round trip would cost more than it saves.
+    reduction the data refuses fails before the fork. The runs then share
+    one ``training_workers(cycles)``, forked before the first run and joined
+    after the last, so a single cycle trains inline.
     """
     cfg_hash = config_hash(settings.to_dict())
     meta = {"config_hash": cfg_hash, "master_seed": settings.master_seed,
@@ -182,7 +185,7 @@ def run_search_protocol(splits: DatasetSplits, settings: SearchSettings,
     new_problem = make_problem(splits, settings)
     per_run = []
     timing = {}
-    with training_workers() if settings.cycles > 1 else contextlib.nullcontext() as workers:
+    with training_workers(settings.cycles) as workers:
         for run in range(1, settings.runs + 1):
             run_seed = settings.master_seed + run
             started = time.perf_counter()
@@ -238,9 +241,25 @@ def record_topology(architecture: dict) -> Topology:
 
 
 def train_final_model(topology: Topology, feature_indices, splits: DatasetSplits,
-                      max_iter: int, seed: int) -> neural.TrainedModel:
+                      max_iter: int, seed: int, minimized=None) -> neural.TrainedModel:
+    """One final training on ``splits.d_train``; ``minimized`` as in ``neural.scg_train``."""
     train = splits.d_train
-    return neural.scg_train(topology, train.inputs(feature_indices), train.labels, max_iter, seed)
+    return neural.scg_train(topology, train.inputs(feature_indices), train.labels, max_iter, seed,
+                            minimized=minimized)
+
+
+def train_final_models(jobs, splits: DatasetSplits, max_iter: int) -> list[neural.TrainedModel]:
+    """The model of each (topology, feature indices, seed) of ``jobs``, in order.
+
+    The jobs are queued on ``training_workers(len(jobs))``, as a search
+    queues its cycles, then collected through ``train_final_model`` on this
+    thread; ``max_iter`` is checked before the fork.
+    """
+    neural.check_max_iter(max_iter)
+    with training_workers(len(jobs)) as workers:
+        queued = queue_trainings(workers, splits.d_train, max_iter, jobs)
+        return [train_final_model(topology, columns, splits, max_iter, seed, minimized=future)
+                for (topology, columns, seed), future in zip(jobs, queued)]
 
 
 def holdout_evaluate_genome(bits: str, problem, max_iter: int, seed: int,
@@ -250,8 +269,9 @@ def holdout_evaluate_genome(bits: str, problem, max_iter: int, seed: int,
     ``problem`` is a run's evaluation problem (see ``make_problem``): it
     decodes and describes the genome and holds the splits the search trained
     on; a topology-only architecture reads every reduced input. Cycle k trains
-    with seed ``seed + k``. Each score is reported as its mean over the
-    cycles, with its values in seed order under ``per_cycle`` and their
+    with seed ``seed + k`` through ``train_final_models``, so several cycles
+    train on the worker processes. Each score is reported as its mean over
+    the cycles, with its values in seed order under ``per_cycle`` and their
     population standard deviation under ``std``; ``cycles`` below 1 is a
     ``ValueError``.
     """
@@ -259,10 +279,9 @@ def holdout_evaluate_genome(bits: str, problem, max_iter: int, seed: int,
         raise ValueError(f"holdout cycles must be >= 1, got {cycles}")
     columns, _, topology = problem.decode(bits)
     hold = problem.splits.open_holdout()
-    scores = []
-    for k in range(cycles):
-        model = train_final_model(topology, columns, problem.splits, max_iter, seed + k)
-        scores.append(split_scores(model, hold, columns))
+    models = train_final_models([(topology, columns, seed + k) for k in range(cycles)],
+                                problem.splits, max_iter)
+    scores = [split_scores(model, hold, columns) for model in models]
     per_cycle = {name: [float(v) for v in values]
                  for name, values in zip(SCORE_NAMES, zip(*scores))}
     return {

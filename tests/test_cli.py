@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_SEARCHES, make_planted_splits, random_walk_series
-from coevonet import baselines, cli, market_data, synth
+from coevonet import baselines, cli, market_data, neural, synth
 from coevonet.genome import complexity_of
 from coevonet.neural import Topology
 from coevonet.objectives import usable_cores
@@ -224,11 +225,13 @@ def test_holdout_eval_of_a_run_on_other_data_names_the_genome_length(
     assert (run / "holdout" / "O2.json").read_bytes() == record
 
 
-def test_holdout_eval_cycles_0_exits_1(sessions, capsys):
+def test_holdout_eval_cycles_0_exits_1(sessions, capsys, monkeypatch):
+    forks = _count_forks(monkeypatch)
     root = sessions[0]
     assert cli.main(["holdout-eval", "--data", str(root / "data"), "--run", str(root / "run"),
                      "--preset", "O2", "--cycles", "0"]) == 1
     assert "cycles must be >= 1" in capsys.readouterr().err
+    assert forks == []
 
 
 def _count_forks(monkeypatch) -> list[int]:
@@ -242,6 +245,15 @@ def _count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def test_baseline_k_0_exits_1_before_forking(sessions, tmp_path, capsys, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    assert cli.main(["baseline", "--data", str(sessions[0] / "data"), "--method", "mrmr",
+                     "--k", "0", "--scg-iters", "5", "--out", str(tmp_path / "base")]) == 1
+    assert "k=0 outside [1, 68]" in capsys.readouterr().err
+    assert forks == []      # the reduction is fitted before the rule trainings fork workers
+    assert not (tmp_path / "base").exists()
 
 
 def test_eagd_population_0_exits_1(sessions, tmp_path, capsys, monkeypatch):
@@ -326,6 +338,19 @@ def test_holdout_eval_of_settings_this_version_does_not_take_names_them(
     assert named in err
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("cycles", "2", "search setting cycles must be int, got '2'"),
+    ("runs", True, "search setting runs must be int, got True"),
+    ("scg_max_iter", 20.0, "search setting scg_max_iter must be int, got 20.0"),
+    ("algorithm", 1, "search setting algorithm must be str, got 1"),
+], ids=["text-for-int", "bool-for-int", "float-for-int", "int-for-text"])
+def test_holdout_eval_of_settings_of_the_wrong_type_names_them(
+        sessions, tmp_path, capsys, key, value, named):
+    _refused_holdout_eval(sessions, tmp_path,
+                          lambda header: header["settings"].update({key: value}))
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step", ["search", "baseline", "holdout-eval"])
 def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, monkeypatch, step):
     forks = _count_forks(monkeypatch)
@@ -333,10 +358,11 @@ def test_negative_scg_budget_exits_1(sessions, tmp_path, capsys, monkeypatch, st
     argv = {"search": ["search", "--data", data, "--fe", "4", "--population", "4",
                        "--cycles", "2", "--runs", "1", "--out", str(tmp_path)],
             "baseline": ["baseline", "--data", data, "--k", "5", "--out", str(tmp_path)],
-            "holdout-eval": ["holdout-eval", "--data", data, "--run", run, "--preset", "O2"]}
+            "holdout-eval": ["holdout-eval", "--data", data, "--run", run, "--preset", "O2",
+                             "--cycles", "2"]}
     assert cli.main([*argv[step], "--scg-iters", "-1"]) == 1
     assert "max_iter -1 must be non-negative" in capsys.readouterr().err
-    assert forks == []      # refused before a multi-cycle search forks its workers
+    assert forks == []      # refused before the step forks workers for its trainings
 
 
 def test_ingest_csv_outside_default_windows_names_the_way_out(sessions, tmp_path, capsys):
@@ -440,24 +466,54 @@ def test_config_value_the_option_refuses_is_a_validation_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_only_a_multi_cycle_search_forks_training_workers(sessions, tmp_path, monkeypatch):
+def test_only_a_step_with_several_trainings_forks_training_workers(
+        sessions, tmp_path, monkeypatch):
     forks = _count_forks(monkeypatch)
     data, run = str(sessions[0] / "data"), tmp_path / "run"
     shutil.copytree(sessions[0] / "run", run)
     search = ["search", "--data", data, "--algo", "nsga2", "--fe", "4", "--population", "2",
               "--scg-iters", "5", "--runs", "2"]
-    single_cycle_steps = [
-        [*search, "--cycles", "1", "--out", str(tmp_path / "one")],
-        ["holdout-eval", "--data", data, "--run", str(run), "--preset", "O2",
-         "--cycles", "2", "--scg-iters", "5"],
-        ["baseline", "--data", data, "--method", "mrmr", "--k", "5", "--scg-iters", "5",
-         "--out", str(tmp_path / "base")],
-    ]
-    for argv in single_cycle_steps:
+    holdout = ["holdout-eval", "--data", data, "--run", str(run), "--preset", "O2",
+               "--scg-iters", "5"]
+    for argv in ([*search, "--cycles", "1", "--out", str(tmp_path / "one")],
+                 [*holdout, "--cycles", "1"]):
         assert cli.main(argv) == 0, argv[0]
     assert forks == []
-    assert cli.main([*search, "--cycles", "2", "--out", str(tmp_path / "two")]) == 0
-    assert forks == [os.getpid()] * usable_cores()     # once per step, not per run
+    several_trainings_steps = [
+        ["baseline", "--data", data, "--method", "mrmr", "--k", "5", "--scg-iters", "5",
+         "--out", str(tmp_path / "base")],
+        [*holdout, "--cycles", "2"],
+        [*search, "--cycles", "2", "--out", str(tmp_path / "two")],
+    ]
+    for argv in several_trainings_steps:
+        forks.clear()
+        assert cli.main(argv) == 0, argv[0]
+        # once per step, not per run or per training
+        assert forks == [os.getpid()] * usable_cores(), argv[0]
+
+
+@pytest.mark.parametrize("step, trainings", [("baseline", len(baselines.RULES)),
+                                             ("holdout-eval", 3)])
+def test_every_step_training_calls_scg_train_in_this_process(
+        sessions, tmp_path, monkeypatch, step, trainings):
+    callers = []    # (process, thread) of every scg_train call
+    train = neural.scg_train
+
+    def counted(*args, **kwargs):
+        callers.append((os.getpid(), threading.get_ident()))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "scg_train", counted)
+    forks = _count_forks(monkeypatch)
+    data, run = str(sessions[0] / "data"), tmp_path / "run"
+    shutil.copytree(sessions[0] / "run", run)
+    argv = {"baseline": ["baseline", "--data", data, "--method", "mrmr", "--k", "5",
+                         "--scg-iters", "5", "--out", str(tmp_path / "base")],
+            "holdout-eval": ["holdout-eval", "--data", data, "--run", str(run), "--preset", "O2",
+                             "--cycles", "3", "--scg-iters", "5"]}
+    assert cli.main(argv[step]) == 0
+    assert forks        # the trainings were minimized on the workers
+    assert callers == [(os.getpid(), threading.get_ident())] * trainings
 
 
 def _search_in_new_session(data, out, fe, scg_iters):

@@ -183,7 +183,7 @@ class TestConcurrentCycles:
         # workers, one queued cycle at a time is pickled whole on its way to them
         splits = make_planted_splits(n_features=8, n_train=10_000, seed=4)
         rng = np.random.default_rng(0)
-        with training_workers() if in_workers else contextlib.nullcontext() as workers:
+        with training_workers(2) if in_workers else contextlib.nullcontext() as workers:
             problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0,
                                          workers=workers)
             genomes = list(dict.fromkeys(moea._random_genome(problem, rng) for _ in range(400)))
@@ -229,7 +229,7 @@ class TestTrainingWorkers:
     def test_started_batch_records_equal_inline_records(self, splits):
         cfg = dict(cycles=3, max_iter=FAST, master_seed=9)
         inline = CoevolutionProblem(splits, **cfg)
-        with training_workers() as workers:
+        with training_workers(2) as workers:
             pooled = CoevolutionProblem(splits, **cfg, workers=workers)
             pooled.start(self.GENOMES)
             records = [pooled.evaluate(bits) for bits in self.GENOMES + self.GENOMES]
@@ -245,7 +245,7 @@ class TestTrainingWorkers:
             return train(*args, **kwargs)
 
         monkeypatch.setattr(neural, "scg_train", counted)
-        with training_workers() as workers:
+        with training_workers(2) as workers:
             problem = CoevolutionProblem(splits, cycles=2, max_iter=FAST, master_seed=0,
                                          workers=workers)
             problem.evaluate(self.GENOMES[0])       # not started: evaluate starts it
@@ -261,7 +261,7 @@ class TestTrainingWorkers:
         cfg = dict(cycles=2, max_iter=FAST, master_seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)   # the workers fork under it
-            with training_workers() if in_workers else contextlib.nullcontext() as workers:
+            with training_workers(2) if in_workers else contextlib.nullcontext() as workers:
                 problem = CoevolutionProblem(huge, **cfg, workers=workers)
                 with pytest.raises(RuntimeWarning, match="overflow encountered"):
                     problem.evaluate(genome_for([0, 1]))

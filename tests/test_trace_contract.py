@@ -3,11 +3,13 @@
 ``perfbench/tracer.py`` wraps the program's public functions in the step's
 own process and keeps one span stack; ``perfbench/layers.py`` turns the
 spans into per-layer counts. This runs a tiny session with two training
-cycles (so a genome's cycles are minimized on the worker processes) under
-the tracer and checks the counts the benchmark reconciles: every training
-goes through ``neural.scg_train`` once, on the thread of the span that asked
-for it, so a search training's parent is ``objectives.evaluate`` and a
-hold-out training's is ``runner.holdout``; every evaluation is a fresh FE or
+cycles (so a genome's cycles, the baseline's rule trainings and the
+hold-out's cycles are minimized on the worker processes) under the tracer
+and checks the counts the benchmark reconciles: every training goes through
+``neural.scg_train`` once, on the thread of the span that asked for it, so a
+search training's parent is ``objectives.evaluate``, a baseline or hold-out
+training's is ``runner.train_final_model``, and a hold-out
+``train_final_model``'s is ``runner.holdout``; every evaluation is a fresh FE or
 a cache hit; and the baseline's rule trainings are told apart from the
 hold-out's. The benchmark's own rule-of-thumb formulas agree with the
 program's over a grid of input and training-pattern counts.
@@ -73,10 +75,12 @@ def test_trainings_reconcile_with_fe_holdout_and_rules(traced):
 
 
 def test_every_training_nests_in_the_span_that_asked_for_it(traced):
-    totals, m, _, _ = traced
+    totals, m, rules, _ = traced
     assert (totals.child_calls[("objectives.evaluate", "neural.scg_train")]
             == CYCLES * m["objectives.fe"])
     assert totals.child_calls[("runner.holdout", "runner.train_final_model")] == HOLDOUT_CYCLES
+    assert (totals.child_calls[("runner.train_final_model", "neural.scg_train")]
+            == rules + HOLDOUT_CYCLES)
     assert m["objectives.evaluate_self_s"] >= 0
 
 
