@@ -396,9 +396,9 @@ def simplex_lattice_weights(n_obj: int, count: int) -> np.ndarray:
     return lattice[idx]
 
 
-def _tchebycheff(f: np.ndarray, weights: np.ndarray, ideal: np.ndarray) -> float:
-    """Largest weighted distance of ``f`` to ``ideal``; ``eagd_run`` clamps weights to >= 1e-6."""
-    return float(np.max(weights * np.abs(f - ideal)))
+def _tchebycheff(f, weights, ideal) -> float:
+    """Largest weighted distance of ``f`` to ``ideal``, on Python floats; weights are >= 1e-6."""
+    return max(w * abs(v - z) for w, v, z in zip(weights, f, ideal))
 
 
 def eagd_run(problem, population: int, max_evaluations: int,
@@ -410,7 +410,7 @@ def eagd_run(problem, population: int, max_evaluations: int,
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
     hood_size = max(2, math.ceil(NEIGHBORHOOD_FRACTION * population))
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :hood_size]
-    weights = np.maximum(weights, 1e-6)     # Tchebycheff weights; neighborhoods use the lattice
+    weights = np.maximum(weights, 1e-6).tolist()    # Tchebycheff; neighborhoods use the lattice
 
     evaluated, exhausted = _evaluate_batch(
         problem, [_random_genome(problem, rng) for _ in range(population)], cap)
@@ -423,8 +423,9 @@ def eagd_run(problem, population: int, max_evaluations: int,
     for b, o in zip(pop_bits, pop_objs):
         archive.add(b, o)
     rows = _objective_rows(pop_objs)
-    ideal = rows.min(axis=0)
+    ideal = rows.min(axis=0).tolist()
     stats = [_snapshot(0, problem, rows, fast_nondominated_sort(rows))]
+    rows = rows.tolist()    # Python floats for _tchebycheff
     gen = 0
     while not exhausted and problem.fe_count < cap:
         gen += 1
@@ -446,8 +447,8 @@ def eagd_run(problem, population: int, max_evaluations: int,
             if exhausted:
                 break
             rec = evaluated[0][1]
-            f = np.asarray(rec.objectives.as_tuple())
-            ideal = np.minimum(ideal, f)
+            f = rec.objectives.as_tuple()
+            ideal = [min(z, v) for z, v in zip(ideal, f)]
             replaced = 0
             for j in rng.permutation(hood):
                 if _tchebycheff(f, weights[j], ideal) <= _tchebycheff(rows[j], weights[j], ideal):
@@ -457,7 +458,8 @@ def eagd_run(problem, population: int, max_evaluations: int,
                     if replaced >= 2:
                         break
             archive.add(child, rec.objectives)
-        stats.append(_snapshot(gen, problem, rows, fast_nondominated_sort(rows)))
+        objs = np.array(rows)
+        stats.append(_snapshot(gen, problem, objs, fast_nondominated_sort(objs)))
     logger.info("eagd: %d generations, %d evaluations (%d cache hits), archive %d",
                 gen, problem.fe_count, problem.cache_hits, len(archive))
     return archive, stats

@@ -2,7 +2,9 @@
 
 Networks have up to two hidden layers, each with its own size and activation
 (sigmoid or tanh), and a 2-unit softmax head trained with cross-entropy.
-Output unit 0 is the "up" class (label 1); ties predict up.
+Output unit 0 is the "up" class (label 1); ties predict up. The head's row max
+and sum are ``np.maximum`` and ``+`` of its two columns: the IEEE operations of a
+length-2 reduction, so the same bits without the general reductions' call overhead.
 
 The trainer is a from-scratch scaled-conjugate-gradient minimizer over the
 flattened weight vector. Accepted steps never increase the loss; a NaN loss
@@ -14,11 +16,11 @@ for the curvature probe at ``theta + sigma·p``, one forward pass at the trial
 point ``theta + alpha·p``, and one backward pass from that same forward pass
 once the step is accepted. A rejected iteration costs 1 forward pass.
 
-A training allocates its per-layer activation and backward-delta arrays
-once: every pass writes into them, with the same operations in the same
-order as the allocating path that ``TrainedModel.scores`` uses, so results
-are bit-identical. The buffers belong to one training, so trainings can run
-on several threads at once.
+A training allocates its per-layer activation and backward-delta arrays and
+its gradient once: every pass writes into them, with the same operations in
+the same order as the allocating path that ``TrainedModel.scores`` uses, so
+results are bit-identical. The buffers belong to one training, so trainings
+can run on several threads at once.
 
 A training has a numeric part, ``_minimize`` (the weight init from the
 seed, the one-hot labels and the minimization), which is picklable and so
@@ -153,8 +155,9 @@ def _forward(params, x: np.ndarray, activations, buffers=None) -> list[np.ndarra
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum(logits[:, :1], logits[:, 1:])
+    e = np.exp(shifted)
+    return shifted - np.log(e[:, :1] + e[:, 1:])
 
 
 class _CrossEntropy:
@@ -176,29 +179,29 @@ class _CrossEntropy:
         self._outputs = [np.empty((n, size)) for size in sizes[1:]]
         self._deltas = [np.empty((n, size)) for size in sizes[1:-1]]
         self._scratch = [np.empty((n, size)) for size in sizes[1:-1]]
+        self._grad = np.empty(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
+        self._grad_views = _unflatten(self._grad, sizes)
 
     def forward(self, theta):
         params = _unflatten(theta, self.sizes)
         outs = _forward(params, self.x, self.activations, self._outputs)
         log_p = _log_softmax(outs[-1])
         loss = -float((self.y_onehot * log_p).sum()) / self.x.shape[0]
-        return loss, (theta, params, outs, log_p)
+        return loss, (params, outs, log_p)
 
     def gradient(self, forward_pass) -> np.ndarray:
-        """Gradient at the point of ``forward_pass``, written into one flat buffer."""
-        theta, params, outs, log_p = forward_pass
+        """Gradient at the point of ``forward_pass``, in a flat buffer the next call overwrites."""
+        params, outs, log_p = forward_pass
         delta = (np.exp(log_p) - self.y_onehot) / self.x.shape[0]
-        grad = np.empty_like(theta)
-        grad_views = _unflatten(grad, self.sizes)
         for i in range(len(params) - 1, -1, -1):
-            grad_w, grad_b = grad_views[i]
+            grad_w, grad_b = self._grad_views[i]
             np.matmul(outs[i].T, delta, out=grad_w)
             delta.sum(axis=0, out=grad_b)
             if i > 0:
                 delta = np.matmul(delta, params[i][0].T, out=self._deltas[i - 1])
                 _scale_by_activation_grad(delta, outs[i], self.activations[i - 1],
                                           self._scratch[i - 1])
-        return grad
+        return self._grad
 
 
 @dataclass
@@ -233,7 +236,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
     """
     theta = theta0.copy()
     f, current = objective.forward(theta)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         return theta0, float("nan"), 0, True
     if trace is not None:
         trace.append(f)
@@ -252,8 +255,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
                 break
             sigma = SCG_SIGMA / math.sqrt(p2)
             g_sigma = objective.gradient(objective.forward(theta + sigma * p)[1])
-            s = (g_sigma - (-r)) / sigma
-            delta = float(p @ s)
+            delta = float(p @ ((g_sigma + r) / sigma))
         # scale the curvature estimate; delta accumulates over failed steps
         delta += (lam - lam_bar) * p2
         if delta <= 0:
@@ -266,7 +268,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
         alpha = mu / delta
         trial = theta + alpha * p
         f_new, trial_pass = objective.forward(trial)
-        if np.isfinite(f_new):
+        if math.isfinite(f_new):
             comparison = 2.0 * delta * (f - f_new) / (mu * mu)
         else:
             comparison = -math.inf
@@ -368,16 +370,13 @@ class ConfusionCounts:
 
 
 def confusion(predicted, actual) -> ConfusionCounts:
+    """Counts of 0/1 labels, from one pass: bin ``2·predicted + actual`` is (tn, fn, fp, tp)."""
     predicted = np.asarray(predicted)
     actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError("predicted/actual length mismatch")
-    return ConfusionCounts(
-        tp=int(((predicted == 1) & (actual == 1)).sum()),
-        fp=int(((predicted == 1) & (actual == 0)).sum()),
-        tn=int(((predicted == 0) & (actual == 0)).sum()),
-        fn=int(((predicted == 0) & (actual == 1)).sum()),
-    )
+    tn, fn, fp, tp = np.bincount(2 * (predicted == 1) + (actual == 1), minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def accuracy(c: ConfusionCounts) -> float:

@@ -166,17 +166,17 @@ def queue_trainings(workers, d_train: PatternSet, max_iter: int, jobs) -> list:
 
 
 def _record(c: float, rows) -> EvalRecord:
-    """The record of a genome of complexity ``c`` from its per-cycle score rows."""
-    accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
-    return EvalRecord(
-        objectives=ObjectiveVector(
-            e_cv=float(np.mean(errs_test)), c=c, e_pr=float(np.mean(errs_pr))
-        ),
-        test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
-        pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
-        test_mcc=float(np.mean(mccs_test)),
-        pr_mcc=float(np.mean(mccs_pr)),
-    )
+    """The record of a genome of complexity ``c`` from its per-cycle score rows.
+
+    Each score's cycles form one contiguous row, so its mean sums them as
+    ``np.mean`` of that score's list does; accuracies become error rates first.
+    """
+    scores = np.array(list(zip(*rows)))
+    scores[0::3] = 1.0 - scores[0::3]
+    test_err, test_mcc, e_cv, pr_err, pr_mcc, e_pr = scores.mean(axis=1).tolist()
+    return EvalRecord(objectives=ObjectiveVector(e_cv=e_cv, c=c, e_pr=e_pr),
+                      test_error_rate=test_err, pr_error_rate=pr_err,
+                      test_mcc=test_mcc, pr_mcc=pr_mcc)
 
 
 class _EvaluationProblem:

@@ -4,7 +4,7 @@ import pytest
 from conftest import MockProblem, is_dominance_fixed_point, objective_matrix
 from coevonet import runner
 from coevonet.moea import (
-    GenerationStats, ParetoArchive, _evaluate_batch, bitflip_mutation,
+    GenerationStats, ParetoArchive, _evaluate_batch, _tchebycheff, bitflip_mutation,
     crowding_distance, crowding_tournament, dominates, eagd_run,
     fast_nondominated_sort, hypervolume, merge_archives, nongeometric_crossover,
     nsga2_run, random_search_run, simplex_lattice_weights, uniform_crossover,
@@ -231,6 +231,23 @@ class TestHypervolume:
 
     def test_empty_front(self):
         assert hypervolume(np.zeros((0, 3)), (1, 1, 1)) == 0.0
+
+
+def reference_tchebycheff(f, weights, ideal):
+    """The numpy form of the weighted Tchebycheff distance."""
+    return float(np.max(weights * np.abs(f - ideal)))
+
+
+class TestTchebycheff:
+    def test_python_floats_match_the_numpy_form(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5000):
+            f, ideal = rng.random(3), rng.random(3)
+            ties = rng.random(3) < 0.3
+            f[ties] = ideal[ties]
+            weights = np.maximum(rng.random(3) * (rng.random(3) < 0.7), 1e-6)  # EAGD's floor
+            got = _tchebycheff(f.tolist(), weights.tolist(), ideal.tolist())
+            assert got.hex() == reference_tchebycheff(f, weights, ideal).hex()
 
 
 class TestEngines:

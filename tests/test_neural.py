@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from coevonet.neural import (
     ActivationKind, ConfusionCounts, Topology, TrainedModel, _activate, _CrossEntropy,
-    _flatten, _layer_sizes, _scg_minimize, accuracy, balanced_accuracy, balanced_error,
-    confusion, init_weights, mcc, predict, scg_train,
+    _flatten, _layer_sizes, _log_softmax, _scg_minimize, accuracy, balanced_accuracy,
+    balanced_error, confusion, init_weights, mcc, predict, scg_train,
 )
 
 SIG = ActivationKind.SIGMOID
@@ -53,6 +54,33 @@ class TestActivation:
             warnings.simplefilter("error")
             _activate(z, SIG)
         assert z.tolist() == [[0.0, 1.0, 0.5]]
+
+
+#: Logits at the edges of float64: signed zeros, exp's overflow and underflow
+#: points, the largest finite, infinities, NaNs and the smallest subnormal.
+EDGE_LOGITS = [sign * v for v in (0.0, 1.0, 700.0, 745.0, 1e308, np.inf, np.nan, 5e-324)
+               for sign in (1.0, -1.0)]
+
+
+def reference_log_softmax(logits):
+    """The general form, with the row max and row sum as reductions over the classes."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+class TestLogSoftmax:
+    def test_edge_pairs_match_the_general_form_byte_for_byte(self):
+        logits = np.array(list(itertools.product(EDGE_LOGITS, repeat=2)))
+        assert logits.shape == (256, 2)
+        with np.errstate(all="ignore"):
+            assert _log_softmax(logits).tobytes() == reference_log_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_random_rows_match_the_general_form_byte_for_byte(self, scale):
+        logits = np.random.default_rng(int(np.log10(scale)) + 10).standard_normal((2000, 2))
+        logits *= scale
+        with np.errstate(all="ignore"):
+            assert _log_softmax(logits).tobytes() == reference_log_softmax(logits).tobytes()
 
 
 def random_net(rng):

@@ -16,8 +16,8 @@ from coevonet.genome import encode, Architecture
 from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
-    CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, cycle_seed, penalty,
-    scalarized_value, split_scores, training_workers,
+    _ABORTED_CYCLE, CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, _record,
+    cycle_seed, penalty, scalarized_value, split_scores, training_workers,
 )
 
 TANH = ActivationKind.TANH
@@ -43,6 +43,38 @@ class TestObjectiveVector:
 
     def test_tuple_view(self):
         assert ObjectiveVector(0.1, 0.2, 0.3).as_tuple() == (0.1, 0.2, 0.3)
+
+
+def reference_record(c, rows):
+    """The per-score form of ``_record``: ``np.mean`` of each score's list over the cycles."""
+    accs_test, mccs_test, errs_test, accs_pr, mccs_pr, errs_pr = zip(*rows)
+    return EvalRecord(
+        objectives=ObjectiveVector(e_cv=float(np.mean(errs_test)), c=c,
+                                   e_pr=float(np.mean(errs_pr))),
+        test_error_rate=float(np.mean([1.0 - a for a in accs_test])),
+        pr_error_rate=float(np.mean([1.0 - a for a in accs_pr])),
+        test_mcc=float(np.mean(mccs_test)),
+        pr_mcc=float(np.mean(mccs_pr)),
+    )
+
+
+def record_bits(record):
+    return [v.hex() for v in (*record.objectives.as_tuple(), record.test_error_rate,
+                              record.pr_error_rate, record.test_mcc, record.pr_mcc)]
+
+
+class TestRecord:
+    # numpy sums 8 or more values pairwise, so cycle counts past 8 pin the grouping
+    @pytest.mark.parametrize("cycles", [1, 2, 3, 7, 8, 9, 16, 33])
+    def test_matches_the_per_score_means_bit_for_bit(self, cycles):
+        rng = np.random.default_rng(cycles)
+        for _ in range(200):
+            counts = rng.integers(0, 90, size=(cycles, 6)) / 89      # scores of an 89-row window
+            scores = counts * [1, 2, 1, 1, 2, 1] - [0, 1, 0, 0, 1, 0]    # MCCs in [-1, 1]
+            rows = [tuple(row) for row in scores.tolist()]
+            rows[0] = _ABORTED_CYCLE if rng.random() < 0.2 else rows[0]
+            got, want = _record(0.25, rows), reference_record(0.25, rows)
+            assert record_bits(got) == record_bits(want)
 
 
 class TestEvaluate:
