@@ -59,10 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, indicators, market_data, runner, synth
-from .baselines import BaselineError
 from .decision import DecisionError, PreferenceSpec, PRESET_RANKINGS
-from .genome import GenomeError, complexity_of
-from .indicators import IndicatorError
+from .genome import complexity_of
 from .market_data import MarketDataError, SplitSpec
 from .neural import N_CLASSES, ActivationKind, Topology
 from .objectives import SCORE_NAMES, split_scores
@@ -70,9 +68,6 @@ from .stats import StatsError, friedman_ranks, hommel_apv, normal_sf
 from .synth import SynthSpec
 
 logger = logging.getLogger(__name__)
-
-_VALIDATION_ERRORS = (MarketDataError, IndicatorError, GenomeError, DecisionError,
-                      BaselineError, StatsError, synth.SynthError, ValueError)
 
 
 def _load_config_file(path) -> dict:
@@ -467,7 +462,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = _parse_with_config(argv, args)
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:   # every refusal of the package derives from it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

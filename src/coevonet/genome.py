@@ -6,8 +6,9 @@ A genome is a fixed-length bit string (a ``str`` of "0" and "1"): the first
 and as wide as the data; each of the ``N_LAYERS`` blocks of
 ``BITS_PER_LAYER`` bits that follow encodes one hidden layer, 7 big-endian
 size bits followed by one activation bit (1 = sigmoid, 0 = tanh). Genomes
-travel as strings from ``repair`` to the artifacts; uint8 arrays exist only
-inside variation (``moea``) and decoding.
+travel as strings from ``repair`` to the artifacts, and ``decode`` and
+``encode`` read and write those strings; a genome is a uint8 array
+(``string_to_bits``) only inside ``moea``'s breeding step.
 
 Complexity averages three normalized terms: selected-feature fraction,
 active-layer fraction, and mean active-layer fill. The size sum is divided
@@ -53,62 +54,57 @@ def bits_to_string(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in bits)
 
 
-def string_to_bits(s: str) -> np.ndarray:
+def _check_binary(s: str) -> None:
     if set(s) - {"0", "1"}:
         raise GenomeError(f"genome string contains non-binary characters: {s!r}")
+
+
+def string_to_bits(s: str) -> np.ndarray:
+    _check_binary(s)
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
 
 
-def decode_layer_block(block: np.ndarray) -> tuple[int, ActivationKind]:
-    """7 big-endian size bits then 1 activation bit (1 sigmoid, 0 tanh)."""
-    size_bits = block[:-1]
-    weights = 2 ** np.arange(len(size_bits) - 1, -1, -1)
-    size = int(size_bits @ weights)
-    act = ActivationKind.SIGMOID if block[-1] else ActivationKind.TANH
-    return size, act
-
-
-def encode_layer_block(size: int, act: ActivationKind) -> np.ndarray:
-    if not 0 <= size <= S_MAX:
-        raise GenomeError(f"layer size {size} outside [0, {S_MAX}]")
-    block = np.zeros(BITS_PER_LAYER, dtype=np.uint8)
-    for p in range(BITS_PER_LAYER - 1):
-        block[p] = (size >> (BITS_PER_LAYER - 2 - p)) & 1
-    block[-1] = 1 if ActivationKind(act) == ActivationKind.SIGMOID else 0
-    return block
-
-
-def decode_topology(bits: np.ndarray) -> Topology:
-    if bits.shape != (TOPOLOGY_BITS,):
-        raise GenomeError(f"expected {TOPOLOGY_BITS} topology bits, got {bits.shape}")
-    return Topology(tuple(decode_layer_block(block)
-                          for block in bits.reshape(N_LAYERS, BITS_PER_LAYER)))
+def decode_topology(bits: str) -> Topology:
+    """``N_LAYERS`` blocks of 7 big-endian size bits, then the activation bit (1 sigmoid)."""
+    _check_binary(bits)
+    if len(bits) != TOPOLOGY_BITS:
+        raise GenomeError(f"expected {TOPOLOGY_BITS} topology bits, got {len(bits)}")
+    layers = []
+    for i in range(0, TOPOLOGY_BITS, BITS_PER_LAYER):
+        block = bits[i:i + BITS_PER_LAYER]
+        act = ActivationKind.SIGMOID if block[-1] == "1" else ActivationKind.TANH
+        layers.append((int(block[:-1], 2), act))
+    return Topology(tuple(layers))
 
 
 def decode(genome: str, n_features: int) -> Architecture:
-    bits = string_to_bits(genome)
-    if bits.shape != (n_features + TOPOLOGY_BITS,):
-        raise GenomeError(f"genome length {bits.size} differs from the expected "
+    _check_binary(genome)
+    if len(genome) != n_features + TOPOLOGY_BITS:
+        raise GenomeError(f"genome length {len(genome)} differs from the expected "
                           f"{n_features + TOPOLOGY_BITS}: {n_features} feature bits, one per "
                           f"data column, and {TOPOLOGY_BITS} topology bits")
-    feature_idx = tuple(int(i) for i in np.flatnonzero(bits[:n_features]))
+    feature_idx = tuple(i for i, b in enumerate(genome[:n_features]) if b == "1")
     if not feature_idx:
         raise GenomeError("empty feature subset (all feature bits zero)")
-    return Architecture(feature_idx, decode_topology(bits[n_features:]))
+    return Architecture(feature_idx, decode_topology(genome[n_features:]))
 
 
 def encode(arch: Architecture, n_features: int) -> str:
-    bits = np.zeros(n_features + TOPOLOGY_BITS, dtype=np.uint8)
+    parts = ["0"] * n_features
     for i in arch.feature_indices:
         if not 0 <= i < n_features:
             raise GenomeError(f"feature index {i} outside [0, {n_features})")
-        bits[i] = 1
+        parts[i] = "1"
     layers = list(arch.topology.layers)
     if len(layers) > N_LAYERS:
         raise GenomeError(f"{len(layers)} layers exceed the maximum {N_LAYERS}")
     layers += [(0, ActivationKind.TANH)] * (N_LAYERS - len(layers))
-    bits[n_features:] = np.concatenate([encode_layer_block(size, act) for size, act in layers])
-    return bits_to_string(bits)
+    for size, act in layers:
+        if not 0 <= size <= S_MAX:
+            raise GenomeError(f"layer size {size} outside [0, {S_MAX}]")
+        sigmoid = ActivationKind(act) == ActivationKind.SIGMOID
+        parts.append(f"{size:0{BITS_PER_LAYER - 1}b}{'1' if sigmoid else '0'}")
+    return "".join(parts)
 
 
 def complexity_of(n_selected: int, topology: Topology, n_features: int) -> float:

@@ -9,7 +9,7 @@ Two engines share the evaluation problems defined in ``objectives``:
   simplex-lattice weight set, mating within neighborhoods of
   ``NEIGHBORHOOD_FRACTION`` of the population, and an external dominance
   archive that both collects results and, every ``LEARNING_GENERATIONS``
-  generations, supplies one parent of each child.
+  generations, supplies one parent of each child, bred by uniform crossover.
 
 Both take the population, the function-evaluation budget (cache hits are
 free) and the seed as plain arguments, and are bit-reproducible for a fixed
@@ -17,11 +17,12 @@ seed. ``random_search_run`` evaluates the same budget of uniform genomes and
 is the reference front for efficacy checks.
 
 The engines, and the scalarized GA in ``baselines``, share one skeleton:
-``_random_genome`` draws initial genomes, ``_make_offspring`` builds children
-from a caller's parent picker, and ``_evaluate_batch`` is the only budget
-check. A genome is a bit string from the moment ``repair`` returns it:
-populations, batches and archives hold strings, and variation turns its
-parents into uint8 arrays and its repaired children back into strings.
+``_random_genome`` draws initial genomes, ``_recombine`` and ``_finish``
+breed every child (``_make_offspring`` from a caller's parent picker), and
+``_evaluate_batch`` is the only budget check. A genome is a bit string from
+the moment ``repair`` returns it: populations, batches and archives hold
+strings, and only breeding turns its parents into uint8 arrays and its
+repaired children back into strings.
 Objectives enter sorting and crowding as plain (n, 3) float rows.
 """
 
@@ -172,9 +173,7 @@ def nongeometric_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Genera
     Flips at agreeing positions can move the child outside the parents'
     Hamming segment, which is the point of the operator.
     """
-    if p1.shape != p2.shape:
-        raise ValueError("parent length mismatch")
-    child, _ = uniform_crossover(p1, p2, rng)
+    child, _ = uniform_crossover(p1, p2, rng)     # refuses parents of unequal length
     agree = p1 == p2
     flips = agree & (rng.random(p1.shape) < p_flip)
     child[flips] ^= 1
@@ -192,12 +191,11 @@ def bitflip_mutation(bits: np.ndarray, rate: float, rng: np.random.Generator) ->
 # engines
 # ---------------------------------------------------------------------------
 
-#: NSGA-II's recombination: the probability that a parent pair recombines,
-#: and that it does so by the non-geometric operator.
+#: The recombination of NSGA-II and the scalarized GA: the probability that a
+#: parent pair recombines, and that it does so by the non-geometric operator.
 CROSSOVER_RATE = 0.9
 NONGEOMETRIC_PROB = 0.8
-#: EAGD's crossover probability, and its neighborhood's share of the population.
-EAGD_CROSSOVER_RATE = 1.0
+#: EAGD's neighborhood's share of the population.
 NEIGHBORHOOD_FRACTION = 0.10
 #: EAGD draws one parent of each child from its archive every this many generations.
 LEARNING_GENERATIONS = 8
@@ -281,30 +279,38 @@ def _random_genome(problem, rng: np.random.Generator) -> str:
                                          rng))
 
 
+def _recombine(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator, rate: float,
+               nongeometric_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-geometric children (flip probability ``rate``) with probability
+    ``nongeometric_prob``, else one uniform crossover pair; one draw decides."""
+    if rng.random() < nongeometric_prob:
+        return (nongeometric_crossover(pa, pb, rng, rate),
+                nongeometric_crossover(pa, pb, rng, rate))
+    return uniform_crossover(pa, pb, rng)
+
+
+def _finish(problem, kid: np.ndarray, rate: float, rng: np.random.Generator) -> str:
+    """``kid`` mutated per bit with probability ``rate``, repaired, as a bit string."""
+    return bits_to_string(problem.repair(bitflip_mutation(kid, rate, rng), rng))
+
+
 def _make_offspring(pick_parent, problem, population: int,
                     rng: np.random.Generator) -> list[str]:
     """``population`` repaired children of tournament-picked parent pairs.
 
-    With probability ``CROSSOVER_RATE`` a pair recombines, by two
-    non-geometric children (probability ``NONGEOMETRIC_PROB``) or one uniform
-    crossover pair; otherwise it is copied. Every child is then mutated. The
-    non-geometric flip probability and the mutation rate are both 1/n.
+    With probability ``CROSSOVER_RATE`` a pair recombines (``_recombine`` at
+    ``NONGEOMETRIC_PROB``, read at each call); otherwise it is copied. Every
+    child is then mutated. The flip probability and mutation rate are 1/n.
     """
     rate = 1.0 / problem.n_bits
     offspring = []
     while len(offspring) < population:
         pa, pb = string_to_bits(pick_parent()), string_to_bits(pick_parent())
         if rng.random() < CROSSOVER_RATE:
-            if rng.random() < NONGEOMETRIC_PROB:
-                kids = [nongeometric_crossover(pa, pb, rng, rate),
-                        nongeometric_crossover(pa, pb, rng, rate)]
-            else:
-                kids = list(uniform_crossover(pa, pb, rng))
+            kids = _recombine(pa, pb, rng, rate, NONGEOMETRIC_PROB)
         else:
-            kids = [pa, pb]
-        for kid in kids:
-            offspring.append(bits_to_string(
-                problem.repair(bitflip_mutation(kid, rate, rng), rng)))
+            kids = (pa, pb)
+        offspring.extend(_finish(problem, kid, rate, rng) for kid in kids)
     return offspring[:population]
 
 
@@ -404,7 +410,7 @@ def _tchebycheff(f, weights, ideal) -> float:
 def eagd_run(problem, population: int, max_evaluations: int,
              seed: int) -> tuple[ParetoArchive, list[GenerationStats]]:
     rng = np.random.default_rng(seed)
-    mutation_rate = 1.0 / problem.n_bits
+    rate = 1.0 / problem.n_bits
     cap = max_evaluations
     weights = simplex_lattice_weights(3, population)
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
@@ -440,9 +446,8 @@ def eagd_run(problem, population: int, max_evaluations: int,
                 ja, jb = rng.choice(hood, size=2, replace=len(hood) < 2)
                 pa, pb = pop_bits[ja], pop_bits[jb]
             pa, pb = string_to_bits(pa), string_to_bits(pb)
-            # drawn although the rate is 1.0: the draw advances the RNG stream fixed seeds pin
-            child = uniform_crossover(pa, pb, rng)[0] if rng.random() < EAGD_CROSSOVER_RATE else pa
-            child = bits_to_string(problem.repair(bitflip_mutation(child, mutation_rate, rng), rng))
+            # 0.0 keeps EAGD's pinned uniform children; ROADMAP item 6 gives it the paper's operator
+            child = _finish(problem, _recombine(pa, pb, rng, rate, 0.0)[0], rate, rng)
             evaluated, exhausted = _evaluate_batch(problem, [child], cap)
             if exhausted:
                 break

@@ -251,7 +251,7 @@ def _scg_minimize(theta0, objective: _CrossEntropy, max_iter: int,
     for k in range(max_iter):
         if success:
             p2 = float(p @ p)
-            if p2 == 0.0 or math.sqrt(p2) < 1e-300:
+            if p2 == 0.0:
                 break
             sigma = SCG_SIGMA / math.sqrt(p2)
             g_sigma = objective.gradient(objective.forward(theta + sigma * p)[1])

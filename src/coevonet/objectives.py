@@ -152,17 +152,20 @@ def training_workers(trainings: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _minimize_cycle(topology, d_train: PatternSet, columns, max_iter: int, seed: int):
+def _minimize_cycle(d_train: PatternSet, max_iter: int, topology, columns, seed: int):
     """``neural._minimize`` of one cycle, slicing its inputs where it runs; picklable."""
     return neural._minimize(topology, d_train.inputs(columns), d_train.labels, max_iter, seed)
 
 
 def queue_trainings(workers, d_train: PatternSet, max_iter: int, jobs) -> list:
     """The future on ``workers`` of each (topology, columns, seed) of ``jobs``, or None each
-    without workers; ``neural.scg_train(..., minimized=)`` collects it or trains inline."""
-    return [None if workers is None else
-            workers.submit(_minimize_cycle, topology, d_train, columns, max_iter, seed)
-            for topology, columns, seed in jobs]
+    without workers; ``neural.scg_train(..., minimized=)`` collects it or trains inline.
+    Identical jobs of one call share one future, so each distinct job trains once."""
+    futures = {}
+    for job in jobs:
+        if workers is not None and job not in futures:
+            futures[job] = workers.submit(_minimize_cycle, d_train, max_iter, *job)
+    return [futures.get(job) for job in jobs]
 
 
 def _record(c: float, rows) -> EvalRecord:
@@ -295,8 +298,7 @@ class TopologyOnlyProblem(_EvaluationProblem):
         return bits
 
     def decode(self, bits_str: str):
-        topology = decode_topology(genome_mod.string_to_bits(bits_str))
-        return None, self.splits.d_train.n_features, topology
+        return None, self.splits.d_train.n_features, decode_topology(bits_str)
 
 
 #: Epsilon thresholds: the least test and earlier-regime MCC, the most earlier-regime error.

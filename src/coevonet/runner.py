@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, moea, neural
-from .decision import PreferenceSpec, preference_weights, select_architecture
+from .decision import PreferenceSpec, select_architecture
 from .market_data import DatasetSplits
 from .moea import ParetoArchive, merge_archives
 from .neural import ActivationKind, Topology
@@ -222,7 +222,7 @@ def select_and_write(archive: ParetoArchive, architectures: dict, spec: Preferen
         "preset": preset_name,
         "rankings": list(spec.rankings),
         "intensity": spec.intensity,
-        "weights": preference_weights(spec).tolist(),
+        "weights": result.weights.tolist(),
         "genome": bits,
         "objectives": {"e_cv": obj.e_cv, "c": obj.c, "e_pr": obj.e_pr},
         "tournament": result.to_json_dict(),

@@ -60,7 +60,7 @@ def _default_planted() -> tuple[tuple[str, float, float, float], ...]:
 
 
 #: The walk's first weekday, daily log-return scale and first close, and the
-#: pattern shares of the train, test, earlier-regime and hold-out splits.
+#: pattern shares of the splits in time order: earlier-regime, train, test, hold-out.
 START_DAY = date(2017, 1, 2)
 DAILY_VOL = 0.012
 BASE_PRICE = 100.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_genome
 from coevonet.genome import (
     TOPOLOGY_BITS, Architecture, GenomeError, bits_to_string, complexity_of, decode,
-    decode_layer_block, encode, repair_feature_prefix, string_to_bits,
+    decode_topology, encode, repair_feature_prefix, string_to_bits,
 )
 from coevonet.neural import ActivationKind, Topology
 
@@ -24,8 +24,13 @@ def genome_string(feature_bits, layer1="00000000", layer2="00000000"):
 
 class TestDecode:
     def test_layer_byte_example(self):
-        size, act = decode_layer_block(string_to_bits("00100101"))
-        assert (size, act) == (18, SIG)
+        assert decode_topology("00100101" + "0" * 8).layers[0] == (18, SIG)
+
+    @pytest.mark.parametrize("bits", ["0010010x" + "0" * 8, "0" * 15],
+                             ids=["non-binary", "15-bits"])
+    def test_topology_string_refused(self, bits):
+        with pytest.raises(GenomeError):
+            decode_topology(bits)
 
     def test_all_zero_topology_is_direct(self):
         arch = decode(genome_string([0]), N_FEATURES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import MockProblem, is_dominance_fixed_point, objective_matrix
-from coevonet import runner
+from coevonet import moea, runner
 from coevonet.moea import (
     GenerationStats, ParetoArchive, _evaluate_batch, _tchebycheff, bitflip_mutation,
     crowding_distance, crowding_tournament, dominates, eagd_run,
@@ -257,6 +257,13 @@ class TestEngines:
         a2, s2 = nsga2_run(MockProblem(), **cfg)
         assert a1.members() == a2.members()
         assert [g.hypervolume for g in s1] == [g.hypervolume for g in s2]
+
+    def test_nsga2_reads_nongeometric_prob_at_call_time(self, monkeypatch):
+        cfg = dict(population=20, max_evaluations=200, seed=5)
+        default, _ = nsga2_run(MockProblem(), **cfg)
+        monkeypatch.setattr(moea, "NONGEOMETRIC_PROB", 0.0)
+        uniform_only, _ = nsga2_run(MockProblem(), **cfg)
+        assert uniform_only.members() != default.members()
 
     def test_nsga2_respects_budget(self):
         problem = MockProblem()

@@ -17,7 +17,7 @@ from coevonet.market_data import PatternSet
 from coevonet.neural import ActivationKind, Topology
 from coevonet.objectives import (
     _ABORTED_CYCLE, CoevolutionProblem, EvalRecord, ObjectiveVector, TopologyOnlyProblem, _record,
-    cycle_seed, penalty, scalarized_value, split_scores, training_workers,
+    cycle_seed, penalty, queue_trainings, scalarized_value, split_scores, training_workers,
 )
 
 TANH = ActivationKind.TANH
@@ -207,6 +207,22 @@ class TestConcurrentCycles:
         assert threads == []
         problem.evaluate(genomes[1])
         assert threads == [threading.get_ident()] * 2
+
+    def test_identical_jobs_share_one_future(self, splits):
+        class CountingExecutor:
+            submits = 0
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                return object()
+
+        a = (Topology(((10, TANH),)), None, 1)
+        b = (Topology(((10, TANH),)), None, 2)
+        executor = CountingExecutor()
+        futures = queue_trainings(executor, splits.d_train, FAST, [a, a, b])
+        assert executor.submits == 2
+        assert futures[0] is futures[1] and futures[2] is not futures[0]
+        assert queue_trainings(None, splits.d_train, FAST, [a, a, b]) == [None] * 3
 
     @pytest.mark.parametrize("in_workers, bound", [(False, 1), (True, 4)],
                              ids=["inline", "workers"])
